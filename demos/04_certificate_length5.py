@@ -1,4 +1,4 @@
-"""Searching, rendering, and attacking the length-5 proof certificate.
+"""Building, rendering, and attacking the length-5 proof certificate.
 
 A certificate assigns every left orbit (i, s) to a right orbit k so
 that the coefficient and majorization conditions hold line by line and
@@ -20,7 +20,7 @@ from gradenorm import (
 sig = GradingSignature(5)
 
 print("=" * 72)
-print("The certificate the search finds for r = 5")
+print("The certificate the builder emits for r = 5")
 print("=" * 72)
 cert = search_certificate(sig)
 print(certificate_to_report(sig, cert).render_text())

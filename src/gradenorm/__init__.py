@@ -48,7 +48,6 @@ from .certificate import (
     Certificate,
     CertificateLine,
     CheckReport,
-    InfeasibilityReport,
     ProofReport,
     Violation,
     certificate_from_json,
@@ -103,7 +102,6 @@ __all__ = [
     "Certificate",
     "CheckReport",
     "Violation",
-    "InfeasibilityReport",
     "ProofReport",
     "check_line",
     "check_certificate",

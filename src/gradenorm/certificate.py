@@ -1,6 +1,6 @@
 """Proof certificates for the scalar triangle inequality: the proof
-object, a trusted exact checker, and an untrusted search that builds
-certificates for arbitrary grading lengths.
+object, a trusted exact checker, and an untrusted closed-form builder
+that emits a certificate for any grading length.
 
 A certificate assigns every left-hand orbit (i, s) to a right-hand
 orbit k. A line (i, s, k) is admissible when
@@ -37,24 +37,21 @@ back the cancelled pure terms yields
 the scalar triangle inequality. Per-level Euclidean triangle
 inequalities and monotonicity then extend it to graded vectors.
 
-The checker uses exact integer and rational arithmetic only. The search
-is untrusted by design: whatever it returns is re-checked. For the
-signatures built here a certificate in fact always exists, because
-targeting each orbit at k = floor(2r s / e_i) satisfies (a) and (b) and
-is injective per level (floors of a sequence with increments
-2r/e_i >= 1 are strictly increasing); the matching layer nevertheless
-handles arbitrary admissible-edge sets and reports a Hall witness
-whenever a level cannot be saturated.
+The checker uses exact integer and rational arithmetic only. The
+builder is untrusted by design: whatever it returns is re-checked. It
+targets each orbit at k = floor(2r s / e_i), which satisfies (a) and (b)
+and is injective per level (floors of a sequence with increments
+2r/e_i >= 1 are strictly increasing), so a certificate exists for every
+length and no search is needed.
 
-Checker and search are pure; searches for different lengths or levels
-can run concurrently without coordination.
+Checker and builder are pure and can run concurrently without
+coordination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any
 
 from .exactmath import binom, majorizes, rational_to_str
 from .expansion import lhs_orbits, orbit_exponents, shadow
@@ -65,7 +62,6 @@ __all__ = [
     "Certificate",
     "Violation",
     "CheckReport",
-    "InfeasibilityReport",
     "ReportGroup",
     "ProofReport",
     "REASONS",
@@ -142,26 +138,6 @@ class CheckReport:
                 }
                 for v in self.violations
             ],
-        }
-
-
-@dataclass(frozen=True)
-class InfeasibilityReport:
-    """Hall witness: orbits of one level whose joint admissible-target
-    set is smaller than the orbit set, so no complete matching exists."""
-
-    r: int
-    level: int
-    deficient_splits: tuple[int, ...]
-    joint_targets: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "feasible": False,
-            "r": self.r,
-            "level": self.level,
-            "deficient_splits": list(self.deficient_splits),
-            "joint_targets": list(self.joint_targets),
         }
 
 
@@ -250,81 +226,27 @@ def check_certificate(sig: GradingSignature, cert: Certificate) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Search: per-level maximum bipartite matching over admissible edges
+# Builder: the closed-form target of every orbit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _HallWitness:
-    splits: tuple[int, ...]
-    targets: tuple[int, ...]
+def search_certificate(sig: GradingSignature) -> Certificate:
+    """Build the certificate that sends each orbit (i, s) to
+    k = floor(2r s / e_i), sorted by level and then split.
 
-
-def _solve_level_matching(
-    splits: Iterable[int], adjacency: dict[int, list[int]]
-) -> dict[int, int] | _HallWitness:
-    """Match every split to a distinct target via augmenting paths.
-
-    ``adjacency`` lists each split's admissible targets in preference
-    order; splits are processed in the given order, which fixes the
-    outcome. On failure returns the alternating-tree Hall witness: the
-    reached splits S with their joint neighborhood N(S), |N(S)| < |S|.
+    The module docstring shows these lines are admissible and spend each
+    slot (k, i) once, so every length has a certificate and building it
+    costs one line per orbit. The result is still untrusted until
+    ``check_certificate`` agrees.
     """
-    owner: dict[int, int] = {}  # target -> split
-
-    def augment(s: int, visited: set[int]) -> bool:
-        for k in adjacency.get(s, ()):  # preference order
-            if k in visited:
-                continue
-            visited.add(k)
-            if k not in owner or augment(owner[k], visited):
-                owner[k] = s
-                return True
-        return False
-
-    for s in splits:
-        visited: set[int] = set()
-        if not augment(s, visited):
-            stuck = {s} | {owner[k] for k in visited}
-            neighborhood = sorted({k for u in stuck for k in adjacency.get(u, ())})
-            return _HallWitness(tuple(sorted(stuck)), tuple(neighborhood))
-    return {s: k for k, s in owner.items()}
-
-
-def _preference_key(sig: GradingSignature, level: int, split: int, k: int) -> tuple:
-    # closest shadow first: |k/2r - s/e_i| with exact rationals, then smaller k
-    gap = abs(Fraction(k, 2 * sig.r) - Fraction(split, sig.exponent(level)))
-    return (gap, k)
-
-
-def search_certificate(sig: GradingSignature) -> Certificate | InfeasibilityReport:
-    """Build a certificate level by level, or report why none exists.
-
-    Each level is an independent bipartite matching between its orbits
-    and the targets 1..r, with an edge wherever ``check_line`` accepts;
-    the per-(k, i) slot rule is exactly the distinct-target constraint,
-    so levels never interact. Output is deterministic: orbits are
-    processed by ascending split and targets tried nearest-shadow
-    first. The result is untrusted until ``check_certificate`` agrees.
-    """
-    lines: list[CertificateLine] = []
-    for i in range(1, sig.r + 1):
-        e = sig.exponent(i)
-        splits = list(range(1, e // 2 + 1))
-        adjacency: dict[int, list[int]] = {}
-        for s in splits:
-            feasible = [
-                k
-                for k in range(1, sig.r + 1)
-                if check_line(sig, CertificateLine(i, s, k)) is None
-            ]
-            feasible.sort(key=lambda k: _preference_key(sig, i, s, k))
-            adjacency[s] = feasible
-        outcome = _solve_level_matching(splits, adjacency)
-        if isinstance(outcome, _HallWitness):
-            return InfeasibilityReport(sig.r, i, outcome.splits, outcome.targets)
-        lines.extend(CertificateLine(i, s, k) for s, k in sorted(outcome.items()))
-    lines.sort(key=lambda ln: (ln.level, ln.split))
-    return Certificate(sig.r, tuple(lines))
+    two_r = 2 * sig.r
+    return Certificate(
+        sig.r,
+        tuple(
+            CertificateLine(i, s, two_r * s // sig.exponent(i))
+            for i in range(1, sig.r + 1)
+            for s in range(1, sig.exponent(i) // 2 + 1)
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

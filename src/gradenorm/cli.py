@@ -2,10 +2,9 @@
 
 Subcommands: norm, dilate, triangle-sample, prove, check, hunt, report.
 Exit codes are stable: 0 success / valid / no violation, 1 invalid
-certificate, infeasible schema, or violation found, 2 usage or parse
-errors. With --json stdout is a single JSON document; progress and
-diagnostics go to stderr. GRADENORM_THREADS caps worker threads for the
-hunt sweep.
+certificate or violation found, 2 usage or parse errors. With --json
+stdout is a single JSON document; progress and diagnostics go to stderr.
+GRADENORM_THREADS caps worker threads for the hunt sweep.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ import numpy as np
 
 from . import __version__
 from .certificate import (
-    Certificate,
-    InfeasibilityReport,
     certificate_from_json,
     certificate_to_json,
     certificate_to_report,
@@ -104,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("prove", help="search a certificate for length r")
+    p = sub.add_parser("prove", help="build and check a certificate for length r")
     p.add_argument("--r", type=_positive_int, required=True)
     p.add_argument("--out", help="write the certificate JSON here")
     p.add_argument("--json", action="store_true")
@@ -189,17 +186,12 @@ def _cmd_triangle_sample(args: argparse.Namespace) -> int:
 
 def _cmd_prove(args: argparse.Namespace) -> int:
     sig = GradingSignature(args.r)
-    outcome = search_certificate(sig)
-    if isinstance(outcome, InfeasibilityReport):
-        _emit(outcome.to_json())
-        print(
-            f"no certificate: level {outcome.level} orbits {list(outcome.deficient_splits)} "
-            f"share only targets {list(outcome.joint_targets)}",
-            file=sys.stderr,
-        )
+    cert = search_certificate(sig)
+    try:
+        report = certificate_to_report(sig, cert)  # re-checks before rendering
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    cert: Certificate = outcome
-    report = certificate_to_report(sig, cert)  # re-checks before rendering
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

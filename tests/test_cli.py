@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gradenorm.certificate as certificate_mod
 from gradenorm.cli import main
 from gradenorm.graded_space import (
     GradingSignature,
@@ -59,6 +60,23 @@ def test_prove_check_round_trip(capsys, tmp_path, r):
     code, stdout, _ = run(capsys, "check", str(out))
     assert code == 0
     assert json.loads(stdout)["valid"] is True
+
+
+def test_prove_exits_one_when_its_certificate_fails_the_check(capsys, monkeypatch):
+    # forbid level 3 from using targets above 2: the built certificate then
+    # fails the re-check, and prove must say so without emitting anything
+    real_check = certificate_mod.check_line
+
+    def restricted(sig, line):
+        if line.level == 3 and line.target > 2:
+            return "majorization"
+        return real_check(sig, line)
+
+    monkeypatch.setattr(certificate_mod, "check_line", restricted)
+    code, stdout, err = run(capsys, "prove", "--r", "5")
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and "does not validate" in err
 
 
 def test_check_golden_fixture(capsys):

@@ -125,9 +125,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_norm(args: argparse.Namespace) -> int:
     try:
         vec = vector_from_json(_load_json(args.infile))
+        value = hnorm(vec)  # raises when a level length leaves the double range
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _fail_usage(str(exc))
-    value = hnorm(vec)
     if args.json:
         _emit({"r": vec.signature.r, "hnorm": value})
     else:
@@ -163,24 +163,24 @@ def _cmd_triangle_sample(args: argparse.Namespace) -> int:
             y = random_vector(sig, rng, dims=dims)
         else:
             raise ValueError("provide --in or --r")
-        defect = triangle_defect(x, y)
+        # hnorm raises when a level length leaves the double range
+        result = {
+            "X": vector_to_json(x),
+            "Y": vector_to_json(y),
+            "hnorm_x": hnorm(x),
+            "hnorm_y": hnorm(y),
+            "hnorm_sum": hnorm(x + y),
+            "triangle_defect": triangle_defect(x, y),
+        }
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _fail_usage(str(exc))
-    result = {
-        "X": vector_to_json(x),
-        "Y": vector_to_json(y),
-        "hnorm_x": hnorm(x),
-        "hnorm_y": hnorm(y),
-        "hnorm_sum": hnorm(x + y),
-        "triangle_defect": defect,
-    }
     if args.json:
         _emit(result)
     else:
         print(f"hnorm(X) = {result['hnorm_x']}")
         print(f"hnorm(Y) = {result['hnorm_y']}")
         print(f"hnorm(X+Y) = {result['hnorm_sum']}")
-        print(f"triangle defect = {defect}")
+        print(f"triangle defect = {result['triangle_defect']}")
     return 0
 
 

@@ -19,16 +19,33 @@ is monotone in each of those norms, the triangle inequality for N
 reduces to the same inequality for scalar profiles, the vectors of
 per-level norms. The certificate module proves that scalar statement
 with exact arithmetic; this module is double-precision throughout and
-never enters the proof-checking path. Sensible magnitude ranges are
-assumed (|v_i| around 1e-3..1e3 for r up to a few dozen); far outside
-that, a_i^{2r} can leave the double range.
+never enters the proof-checking path.
+
+A GradedVector copies its input once into one flat read-only float64
+array; ``components`` are per-level views into it and ``dims`` is
+stored. ``x + y``, ``-x`` and ``dilate`` are one numpy operation on the
+flat array each, and their results skip the input validation, since
+they keep the layout of a vector that already passed it.
+
+The norm runs on Python floats: ``math.hypot`` per level, then the
+power sum and its 2r-th root. When that sum is not a normal finite
+double (a_i^{e_i} overflowed, or underflowed to zero or a subnormal
+from a nonzero profile), the norm is recomputed from the rescaled
+levels q_i = a_i^{e_i/2r} as max q * (sum_i (q_i / max q)^{2r})^{1/2r},
+the shift used for log-sum-exp (Blanchard, Higham & Higham, IMA J.
+Numer. Anal. 2021), which is finite for any finite level lengths. A
+level length beyond the double range raises ValueError.
 
 All operations are pure functions over immutable values.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
+from itertools import accumulate
+from math import hypot
 from typing import Any, Sequence
 
 import numpy as np
@@ -50,6 +67,9 @@ __all__ = [
     "profile_from_json",
 ]
 
+_INF = math.inf
+_TINY = sys.float_info.min  # the smallest normal double
+
 
 @dataclass(frozen=True)
 class GradingSignature:
@@ -70,29 +90,50 @@ class GradingSignature:
         return self.exponents[level - 1]
 
 
-def _freeze_component(raw: Any) -> np.ndarray:
-    arr = np.array(raw, dtype=float, copy=True).reshape(-1)
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GradedVector:
-    """One real Euclidean component per level."""
+    """One real Euclidean component per level, held in one flat array."""
 
     signature: GradingSignature
     components: tuple[np.ndarray, ...]
+    dims: tuple[int, ...] = field(init=False, repr=False)
+    _flat: np.ndarray = field(init=False, repr=False)
+    _levels: tuple[slice, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        comps = tuple(_freeze_component(c) for c in self.components)
-        if len(comps) != self.signature.r:
+        parts = [np.asarray(c, dtype=float).ravel() for c in self.components]
+        if len(parts) != self.signature.r:
             raise ValueError(
-                f"expected {self.signature.r} components, got {len(comps)}"
+                f"expected {self.signature.r} components, got {len(parts)}"
             )
-        for level, c in enumerate(comps, start=1):
-            if c.size < 1:
-                raise ValueError(f"level {level} must have dimension >= 1")
-        object.__setattr__(self, "components", comps)
+        dims = tuple(p.size for p in parts)
+        if 0 in dims:
+            raise ValueError(f"level {dims.index(0) + 1} must have dimension >= 1")
+        levels = tuple([slice(end - d, end) for end, d in zip(accumulate(dims), dims)])
+        self._store(np.concatenate(parts), dims, levels)
+
+    def _store(self, flat: np.ndarray, dims: tuple[int, ...], levels: tuple[slice, ...]) -> None:
+        flat.setflags(write=False)
+        put = object.__setattr__
+        put(self, "_flat", flat)
+        put(self, "dims", dims)
+        put(self, "_levels", levels)
+        put(self, "components", tuple([flat[s] for s in levels]))
+
+    def _derive(self, flat: np.ndarray) -> "GradedVector":
+        """A vector over this one's space holding the fresh array ``flat``.
+
+        The layout is already validated, so ``__post_init__`` is skipped.
+        """
+        out = object.__new__(GradedVector)
+        object.__setattr__(out, "signature", self.signature)
+        out._store(flat, self.dims, self._levels)
+        return out
+
+    def __reduce__(self) -> tuple:
+        # rebuild through __init__, so that a copy's components are again
+        # read-only views into one flat array
+        return GradedVector, (self.signature, self.components)
 
     @classmethod
     def from_components(cls, components: Sequence[Any]) -> "GradedVector":
@@ -104,19 +145,12 @@ class GradedVector:
         dims = tuple(dims) if dims is not None else (3,) * signature.r
         return cls(signature, tuple(np.zeros(d) for d in dims))
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(c.size for c in self.components)
-
     def __add__(self, other: "GradedVector") -> "GradedVector":
         _require_same_space(self, other)
-        return GradedVector(
-            self.signature,
-            tuple(a + b for a, b in zip(self.components, other.components)),
-        )
+        return self._derive(self._flat + other._flat)
 
     def __neg__(self) -> "GradedVector":
-        return GradedVector(self.signature, tuple(-c for c in self.components))
+        return self._derive(-self._flat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,45 +176,90 @@ class ScalarProfile:
 
 
 def _require_same_space(x: GradedVector, y: GradedVector) -> None:
-    if x.signature != y.signature or x.dims != y.dims:
+    # dims has one entry per level, so equal dims also mean equal r
+    if x.dims != y.dims:
         raise ValueError("vectors live in different graded spaces")
 
 
-def scalar_norm(a: ScalarProfile) -> float:
-    """(sum_i a_i^{e_i})^{1/2r} for a nonnegative profile.
+def _level_norms(x: GradedVector) -> list[float]:
+    values = tuple(x._flat.tolist())  # tuple slices unpack into hypot without a copy
+    return [hypot(*values[s]) for s in x._levels]
 
-    For r = 1 this is (a_1^2)^{1/2} = a_1, returned as such so the
-    one-level norm stays bit-exact Euclidean.
+
+def _norm(mags: list[float], exponents: tuple[int, ...]) -> float:
+    """(sum_i a_i^{e_i})^{1/2r} of nonnegative level lengths, on Python floats.
+
+    For r = 1 this is a_1 itself, so the one-level norm stays bit-exact
+    Euclidean. A power sum that is not a normal finite double goes to
+    ``_rescaled_norm``.
     """
-    mags = a.magnitudes
-    if np.any(mags < 0):
-        raise ValueError("profile magnitudes must be nonnegative")
-    if a.signature.r == 1:
-        return float(mags[0])
-    exps = np.asarray(a.signature.exponents, dtype=float)
-    total = float(np.sum(mags**exps))
-    return total ** (1.0 / (2 * a.signature.r))
+    two_r = exponents[0]
+    if two_r == 2:
+        (length,) = mags
+        if length < _INF:
+            return length
+        raise ValueError("a level length exceeds the double range")
+    try:
+        total = sum(map(pow, mags, exponents))
+    except OverflowError:
+        total = _INF
+    if _TINY <= total < _INF:
+        return total ** (1.0 / two_r)
+    return _rescaled_norm(mags, exponents)
+
+
+def _rescaled_norm(mags: list[float], exponents: tuple[int, ...]) -> float:
+    """max q * (sum_i (q_i / max q)^{2r})^{1/2r} with q_i = a_i^{e_i/2r}.
+
+    Each scaled term lies in [0, 1] and the largest is 1, so the sum
+    neither overflows nor underflows. The result is finite: only q_1 = a_1
+    can come near the largest double, and then every other term rounds
+    away against 1.
+    """
+    if not all(a < _INF for a in mags):
+        raise ValueError("a level length exceeds the double range")
+    two_r = exponents[0]
+    q = [_fractional_power(a, e, two_r) for a, e in zip(mags, exponents)]
+    top = max(q)
+    if top == 0.0:
+        return 0.0
+    return top * sum([(v / top) ** two_r for v in q]) ** (1.0 / two_r)
+
+
+def _fractional_power(a: float, e: int, two_r: int) -> float:
+    """a^{e/2r} to a few ulp for any finite a >= 0.
+
+    ``a ** (e / two_r)`` would carry the rounding of e/2r times |ln a|,
+    about 2e-14 relative at a = 1e-200. Splitting a = m 2^p first leaves
+    that ratio to act on m in [0.5, 1) and on 2^{rem/2r} with rem < 2r,
+    while the integer part of p e / 2r is applied exactly by ldexp.
+    """
+    m, p = math.frexp(a)
+    n, rem = divmod(p * e, two_r)
+    return math.ldexp(m ** (e / two_r) * 2.0 ** (rem / two_r), n)
+
+
+def scalar_norm(a: ScalarProfile) -> float:
+    """(sum_i a_i^{e_i})^{1/2r} for a nonnegative profile."""
+    return _norm(a.magnitudes.tolist(), a.signature.exponents)
 
 
 def scalar_profile(x: GradedVector) -> ScalarProfile:
     """Per-level Euclidean norms of a graded vector."""
-    mags = np.array([np.linalg.norm(c) for c in x.components])
-    return ScalarProfile(x.signature, mags)
+    return ScalarProfile(x.signature, np.array(_level_norms(x)))
 
 
 def hnorm(x: GradedVector) -> float:
     """The candidate homogeneous norm; equals scalar_norm(scalar_profile(x))."""
-    return scalar_norm(scalar_profile(x))
+    return _norm(_level_norms(x), x.signature.exponents)
 
 
 def dilate(t: float, x: GradedVector) -> GradedVector:
     """Scale level i by t^i. The parameter must be nonzero."""
     if t == 0:
         raise ValueError("dilation parameter must be nonzero")
-    return GradedVector(
-        x.signature,
-        tuple(c * t ** (i + 1) for i, c in enumerate(x.components)),
-    )
+    powers = np.array([t ** (i + 1) for i in range(x.signature.r)], dtype=float)
+    return x._derive(x._flat * powers.repeat(x.dims))
 
 
 def homogeneity_defect(x: GradedVector, t: float) -> float:
@@ -194,7 +273,6 @@ def homogeneity_defect(x: GradedVector, t: float) -> float:
 
 def triangle_defect(x: GradedVector, y: GradedVector) -> float:
     """hnorm(x + y) - hnorm(x) - hnorm(y); nonpositive at least for r <= 5."""
-    _require_same_space(x, y)
     return hnorm(x + y) - hnorm(x) - hnorm(y)
 
 

@@ -218,6 +218,47 @@ def test_norm_r5_all_unit_levels(capsys, tmp_path):
     assert json.loads(stdout)["hnorm"] == pytest.approx(5 ** 0.1, rel=1e-14)
 
 
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "components, expected",
+    [
+        ([[1e100], [1.0], [1.0]], 1e100),
+        ([[1e200, 1.0], [2.0], [1e-300]], 1e200),
+        ([[1e-200], [1e-200], [0.0], [0.0], [0.0]], 1e-160),
+    ],
+)
+def test_norm_json_is_finite_outside_double_range(capsys, tmp_path, components, expected):
+    payload = {"r": len(components), "components": components}
+    path = write_json(tmp_path / "extreme.json", payload)
+    code, stdout, _ = run(capsys, "norm", "--in", path, "--json")
+    assert code == 0
+    assert strict_json(stdout)["hnorm"] == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_norm_of_level_beyond_double_range_is_usage_error(capsys, tmp_path):
+    path = write_json(tmp_path / "huge.json", {"r": 2, "components": [[1.5e308, 1.5e308], [1.0]]})
+    code, stdout, stderr = run(capsys, "norm", "--in", path, "--json")
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:")
+
+
+def test_triangle_sample_of_level_beyond_double_range_is_usage_error(capsys, tmp_path):
+    big = {"r": 2, "components": [[1e308], [1.0]]}
+    path = write_json(tmp_path / "pair.json", {"X": big, "Y": big})
+    with pytest.warns(RuntimeWarning):  # the sum of the first levels overflows
+        code, stdout, stderr = run(capsys, "triangle-sample", "--in", path, "--json")
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:")
+
+
 def test_norm_malformed_vector_is_usage_error(capsys, tmp_path):
     path = write_json(tmp_path / "bad.json", {"r": 2, "components": [[1.0]]})
     code, _, _ = run(capsys, "norm", "--in", path)

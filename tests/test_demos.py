@@ -8,8 +8,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["04_certificate_length5.py", "06_beyond_length_five.py"])
-def test_certificate_demo_runs(demo):
+def run_demo(demo):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         capture_output=True,
@@ -18,3 +17,12 @@ def test_certificate_demo_runs(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", ["04_certificate_length5.py", "06_beyond_length_five.py"])
+def test_certificate_demo_runs(demo):
+    run_demo(demo)
+
+
+def test_homogeneity_demo_runs():
+    run_demo("02_homogeneity_boundary.py")

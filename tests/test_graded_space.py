@@ -1,5 +1,11 @@
+import copy
+import math
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradenorm.graded_space import (
     GradedVector,
@@ -300,9 +306,77 @@ def test_vector_rejects_empty_level():
 
 
 def test_vector_components_are_immutable():
-    x = GradedVector.zero(GradingSignature(2))
+    x = GradedVector.from_components([[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]])
+    zero = GradedVector.zero(GradingSignature(3), dims=(2, 1, 3))
+    for built in (zero, x, x + x, -x, dilate(2.0, x)):
+        assert built.dims == (2, 1, 3)
+        for level in range(3):
+            with pytest.raises(ValueError):
+                built.components[level][0] = 1.0
+
+
+def test_vector_pickle_and_deepcopy_keep_flat_read_only_storage():
+    x = GradedVector.from_components([[1.0, 2.0], [3.0]])
+    for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert copied.dims == (2, 1)
+        assert [c.tolist() for c in copied.components] == [[1.0, 2.0], [3.0]]
+        assert hnorm(copied) == hnorm(x)
+        with pytest.raises(ValueError):
+            copied.components[0][0] = 5.0
+
+
+def test_vector_copies_its_input():
+    first, second = np.array([1.0, 2.0]), np.array([[3.0], [4.0]])
+    x = GradedVector(GradingSignature(2), (first, second))
+    y = GradedVector(GradingSignature(1), (first,))
+    first[0] = 99.0
+    second[1, 0] = 99.0
+    assert [c.tolist() for c in x.components] == [[1.0, 2.0], [3.0, 4.0]]
+    assert y.components[0].tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [[1, 2], [3, 4]],
+        np.arange(6).reshape(2, 3),
+        np.arange(6, dtype=np.int32).reshape(3, 2).T,
+        [1, 2, 3],
+        7,
+        np.array([0.5, -1.5], dtype=np.float32),
+    ],
+)
+def test_vector_flattens_inputs_to_float64(raw):
+    x = GradedVector(GradingSignature(2), (raw, [1.0]))
+    expected = np.array(raw, dtype=float, copy=True).reshape(-1)
+    assert x.components[0].dtype == np.float64
+    assert np.array_equal(x.components[0], expected)
+    assert x.dims == (expected.size, 1)
+
+
+def test_vector_dims_are_per_level():
+    rng = np.random.default_rng(19)
+    x = random_vector(GradingSignature(4), rng, dims=(1, 4, 2, 3))
+    assert x.dims == (1, 4, 2, 3)
+    assert [c.size for c in x.components] == [1, 4, 2, 3]
+    assert (x + x).dims == (-x).dims == dilate(-3.0, x).dims == (1, 4, 2, 3)
+
+
+def test_random_vector_draw_order():
+    sig = GradingSignature(3)
+    x = random_vector(sig, np.random.default_rng(20), dims=(2, 1, 3), magnitude_decades=(-1, 1))
+    rng = np.random.default_rng(20)
+    for got, d in zip(x.components, (2, 1, 3)):
+        level = rng.standard_normal(d)
+        assert np.array_equal(got, level * 10.0 ** rng.uniform(-1, 1))
+
+
+def test_vector_sum_rejects_mismatched_dims():
+    x = GradedVector.zero(GradingSignature(2), dims=(2, 2))
     with pytest.raises(ValueError):
-        x.components[0][0] = 1.0
+        x + GradedVector.zero(GradingSignature(2), dims=(2, 3))
+    with pytest.raises(ValueError):
+        x + GradedVector.zero(GradingSignature(3), dims=(2, 2, 1))
 
 
 def test_vector_json_round_trip():
@@ -339,3 +413,111 @@ def test_profile_json_round_trip():
 def test_profile_json_rejects_malformed():
     with pytest.raises(ValueError):
         profile_from_json({"r": 2, "a": [1.0]})
+
+
+# ---------------------------------------------------------------------------
+# agreement with an independent pure-Python reference
+# ---------------------------------------------------------------------------
+
+def reference_norm(levels):
+    """(sum_i |v_i|^{e_i})^{1/2r} with math.hypot and math.fsum."""
+    r = len(levels)
+    mags = [math.hypot(*level) for level in levels]
+    if r == 1:
+        return mags[0]
+    return math.fsum(m ** (2 * (r - i)) for i, m in enumerate(mags)) ** (1.0 / (2 * r))
+
+
+def signed_magnitudes(low, high):
+    return st.builds(
+        lambda sign, decade: sign * 10.0**decade,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(low, high),
+    )
+
+
+@st.composite
+def vectors_and_parameter(draw):
+    r = draw(st.integers(1, 12))
+    dims = draw(st.lists(st.integers(1, 4), min_size=r, max_size=r))
+
+    def levels():
+        return [draw(st.lists(signed_magnitudes(-3, 3), min_size=d, max_size=d)) for d in dims]
+
+    return levels(), levels(), draw(signed_magnitudes(-1, 1))
+
+
+@settings(deadline=None)
+@given(vectors_and_parameter())
+def test_graded_layer_matches_reference(case):
+    xs, ys, t = case
+    r = len(xs)
+    sig = GradingSignature(r)
+    x, y = GradedVector(sig, tuple(map(np.array, xs))), GradedVector(sig, tuple(map(np.array, ys)))
+
+    total = [[a + b for a, b in zip(u, v)] for u, v in zip(xs, ys)]
+    dilated = [[a * t**i for a in level] for i, level in enumerate(xs, start=1)]
+    assert [c.tolist() for c in (x + y).components] == total
+    assert [c.tolist() for c in (-x).components] == [[-a for a in level] for level in xs]
+    assert [c.tolist() for c in dilate(t, x).components] == dilated
+
+    nx, ny, nsum, ndil = map(reference_norm, (xs, ys, total, dilated))
+    assert hnorm(x) == pytest.approx(nx, rel=1e-12, abs=0.0)
+    tri_scale = nsum + nx + ny
+    assert abs(triangle_defect(x, y) - (nsum - nx - ny)) <= 1e-12 * tri_scale
+    hom_scale = ndil + abs(t) * nx
+    assert abs(homogeneity_defect(x, t) - (ndil - abs(t) * nx)) <= 1e-12 * hom_scale
+
+
+# ---------------------------------------------------------------------------
+# power sums outside the double range
+# ---------------------------------------------------------------------------
+
+def log_domain_norm(decades):
+    """The norm of levels of length 10^d, summed as log-sum-exp."""
+    r = len(decades)
+    logs = [2 * (r - i) * d * math.log(10.0) for i, d in enumerate(decades)]
+    top = max(logs)
+    return math.exp((top + math.log(math.fsum(math.exp(v - top) for v in logs))) / (2 * r))
+
+
+def extreme_decades(r):
+    rng = np.random.default_rng(300 + r)
+    yield [200.0] * r
+    yield [-200.0] * r
+    yield [200.0 if i % 2 else -200.0 for i in range(r)]
+    yield [-200.0 if i % 2 else 200.0 for i in range(r)]
+    for _ in range(50):
+        yield rng.uniform(-200.0, 200.0, size=r).tolist()
+
+
+@pytest.mark.parametrize("r", [2, 5, 12])
+def test_hnorm_outside_double_range_matches_log_domain(r):
+    sig = GradingSignature(r)
+    for decades in extreme_decades(r):
+        x = GradedVector(sig, tuple(np.array([10.0**d]) for d in decades))
+        got = hnorm(x)
+        assert got == scalar_norm(scalar_profile(x))
+        assert got == pytest.approx(log_domain_norm(decades), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "levels, expected",
+    [
+        ([[1e100], [1.0], [1.0]], 1e100),
+        ([[1e200, 1.0], [2.0], [1e-300]], 1e200),
+        ([[1e-200], [1e-200], [0.0], [0.0], [0.0]], 1e-160),
+        ([[1e-200], [1e-250], [0.0], [0.0], [0.0]], 2**0.1 * 1e-200),
+    ],
+)
+def test_hnorm_survives_overflow_and_underflow(levels, expected):
+    assert hnorm(GradedVector.from_components(levels)) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [[[1.5e308, 1.5e308], [1.0]], [[np.inf], [1.0]], [[1.0], [np.nan]], [[np.inf]]],
+)
+def test_hnorm_rejects_levels_beyond_double_range(levels):
+    with pytest.raises(ValueError):
+        hnorm(GradedVector.from_components(levels))

@@ -138,10 +138,13 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 def _cmd_dilate(args: argparse.Namespace) -> int:
     try:
         vec = vector_from_json(_load_json(args.infile))
-        scaled = dilate(args.t, vec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = dilate(args.t, vec)
+        # a component that overflowed must not leave as JSON Infinity
+        text = json.dumps(vector_to_json(scaled), allow_nan=False)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _fail_usage(str(exc))
-    _emit(vector_to_json(scaled))
+    print(text)
     return 0
 
 

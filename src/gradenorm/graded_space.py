@@ -258,7 +258,10 @@ def dilate(t: float, x: GradedVector) -> GradedVector:
     """Scale level i by t^i. The parameter must be nonzero."""
     if t == 0:
         raise ValueError("dilation parameter must be nonzero")
-    powers = np.array([t ** (i + 1) for i in range(x.signature.r)], dtype=float)
+    try:
+        powers = np.array([t ** (i + 1) for i in range(x.signature.r)], dtype=float)
+    except OverflowError:
+        raise ValueError(f"dilation parameter {t!r} overflows t^{x.signature.r}") from None
     return x._derive(x._flat * powers.repeat(x.dims))
 
 

@@ -281,6 +281,21 @@ def test_dilate_rejects_zero_parameter(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "components, t",
+    [
+        ([[1e300], [1.0], [1.0]], "1e10"),  # the first level overflows
+        ([[1.0], [1.0], [1.0]], "1e150"),  # t ** 3 overflows
+    ],
+)
+def test_dilate_out_of_double_range_is_usage_error(capsys, tmp_path, components, t):
+    path = write_json(tmp_path / "vec.json", {"r": 3, "components": components})
+    code, stdout, stderr = run(capsys, "dilate", "--t", t, "--in", path)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:")
+
+
 def test_triangle_sample_random_pair(capsys):
     code, stdout, _ = run(capsys, "triangle-sample", "--r", "5", "--seed", "3", "--json")
     assert code == 0

@@ -128,6 +128,27 @@ def test_dilate_scales_levels_by_powers():
     assert [float(c[0]) for c in y.components] == [3.0, 9.0, 27.0]
 
 
+def test_dilate_parameter_whose_power_overflows_is_a_value_error():
+    x = GradedVector.from_components([np.array([1.0]), np.array([1.0]), np.array([1.0])])
+    with pytest.raises(ValueError, match="overflows"):
+        dilate(1e150, x)  # 1e150 ** 3 raises OverflowError in float pow
+    with pytest.raises(ValueError, match="overflows"):
+        homogeneity_defect(x, 1e150)
+    short = GradedVector.from_components([np.array([1.0]), np.array([1.0])])
+    assert [float(c[0]) for c in dilate(1e150, short).components] == [1e150, 1e150**2]
+
+
+def test_homogeneity_defect_of_an_overflowing_dilation_is_a_value_error():
+    # t^i is finite but a component times it is not; dilate itself does
+    # not scan for that, hnorm rejects the infinite level length
+    x = GradedVector.from_components([np.array([1e300]), np.array([1.0]), np.array([1.0])])
+    with np.errstate(over="ignore"):
+        y = dilate(1e10, x)
+    assert y.components[0][0] == np.inf
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        homogeneity_defect(x, 1e10)
+
+
 # ---------------------------------------------------------------------------
 # homogeneity boundary
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
+from gradenorm import numeric_search
 from gradenorm.certificate import CertificateLine, search_certificate
 from gradenorm.graded_space import GradingSignature, ScalarProfile
 from gradenorm.numeric_search import (
@@ -95,6 +99,185 @@ def test_hunt_thread_count_does_not_change_results():
     par = hunt(cfg, threads=4)
     assert seq.max_relative_defect == par.max_relative_defect
     assert np.array_equal(seq.argmax[0].magnitudes, par.argmax[0].magnitudes)
+    assert outcome_key(seq) == outcome_key(par)
+
+
+def outcome_key(out):
+    """Every field of a hunt outcome, floats as hex, both profiles as one digest."""
+    a, b = (p.magnitudes for p in out.argmax)
+    digest = hashlib.sha256(a.tobytes() + b.tobytes()).hexdigest()
+    return (
+        out.max_defect.hex(),
+        out.max_relative_defect.hex(),
+        digest,
+        out.samples_evaluated,
+        out.violation_found,
+    )
+
+
+# (r, sample_count, rng_seed, max_defect, max_relative_defect,
+#  sha256(argmax a bytes + argmax b bytes), samples_evaluated,
+#  violation_found), recorded with the one-move-per-call ascent and the
+# itertools lattice; every other SearchConfig field is the default
+PINNED_HUNTS = [
+    (1, 20000, 0, '0x1.0000000000000p-47', '0x1.cc41cac2015a2p-53', 'e78d08e7161e6d681702343a4c40e82b3a3a8e86124bf7e0fdfe5ed2cca272e7', 21610, False),
+    (1, 20000, 7, '0x1.0000000000000p-51', '0x1.f3c0942b17477p-53', '26152693805dcbaffb9dda1cdc33b2d4182317bfda9d9718adcd90c31d0ce68e', 21611, False),
+    (1, 20000, 42, '0x1.0000000000000p-51', '0x1.f52de4b16eb77p-53', '171262d3b2d16358d88ce41f54f7eebc31bf8471d3e5e6421a4fa134b9d5bae2', 21611, False),
+    (2, 20000, 0, '0x0.0p+0', '0x0.0p+0', '66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925', 20467, False),
+    (2, 20000, 7, '0x1.792c000000000p-46', '0x1.62abe82611bd8p-52', 'd91da6126d1d2de0c31d6d950030ed7075d6fb6b227113ea3d29b86003195da9', 21982, False),
+    (2, 20000, 42, '0x1.e800000000000p-51', '0x1.e7ffffff6f0e2p-54', '1791e733efa09bcb1ac6b1faedf19353ac8fac38517b7a7f67562ed0c71f4ac5', 20758, False),
+    (3, 20000, 0, '0x1.fb00000000000p-53', '0x1.fa89ed49ba31cp-53', 'f8ef69b70735f8c524482d744191331398cb6a63c155c582638d8f771fdf7c0c', 23265, False),
+    (3, 20000, 7, '0x1.4000000000000p-47', '0x1.2f11812b62202p-53', '815575c2b7062999a0f3a046a5e7f1f353c0e6e0361870f3e8aa1c93c5fd5b7f', 24930, False),
+    (3, 20000, 42, '0x1.7c00000000000p-46', '0x1.1f79f8625d836p-52', '49f148e60acba0ce3a9601cd1faf4987e587dd8e7deefdf8527596f090631896', 22442, False),
+    (5, 20000, 0, '0x1.0000000000000p-43', '0x1.2ef4ca4b45e03p-52', 'a4a9dae1b4c8c8995f03b2fc61985a41641c7e688d1d51de8674be4268749979', 80761, False),
+    (5, 20000, 7, '0x1.8000000000000p-43', '0x1.7b1c0bf779f85p-52', 'fec46059597fe3fc782535d345a98fe0298a9112d266ec64ea92c805e106afe0', 82793, False),
+    (5, 20000, 42, '0x1.8000000000000p-44', '0x1.5eb51f2817e16p-52', '1d1c1075f0bae446d1154858fe0c7fc248fe6c7405a2bbdc3c27cfb6d5f4fb09', 80768, False),
+    (12, 20000, 0, '0x1.0000000000000p-44', '0x1.f91f61e5d954ep-53', 'd406e2493aeb309fbdf3cb2828802be3a1e41392cc0584a2d9b19ef5f80d95ce', 137402, False),
+    (12, 20000, 7, '0x1.0000000000000p-44', '0x1.ff159ac2769a2p-53', 'e8e8104deb66e608fa0318f85bc4b1dbec959db56a8b62277ba0e75b72d7fa1b', 123122, False),
+    (12, 20000, 42, '0x1.0000000000000p-44', '0x1.fc4ea6b439ebep-53', 'e746c123016eb8037097ba159be5401edd00f9ccaf967dcdb0b2ba2ba111e034', 124952, False),
+    (24, 20000, 0, '0x1.0000000000000p-44', '0x1.fff223c331b80p-53', 'a2fc5e4f53f9229ef442b79ed17e65e08f4ca71494d904ae8f94461e69d727a2', 140402, False),
+    (24, 20000, 7, '0x1.0000000000000p-44', '0x1.fcf8a5e7f6d8bp-53', 'e6661a80df2638ea3c3832a5836f9af04c417dabd5baa8c819d30f4ac52be4ed', 155401, False),
+    (24, 20000, 42, '0x1.0000000000000p-43', '0x1.d36acc9e337cap-53', '05d239181c3ccbbb3a707084dfb723b29e0b980cb2d539e61b2100e2fdfa324c', 139650, False),
+    (5, 1000000, 42, '0x1.8000000000000p-43', '0x1.7fe99b05dd7b0p-52', '6ee04a030c28153ef794115ec3d5e5d26d1e4cdafaaa55af145bea95cb473fd8', 1064272, False),
+]
+
+
+@pytest.mark.parametrize("case", PINNED_HUNTS, ids=lambda c: f"r{c[0]}-n{c[1]}-seed{c[2]}")
+def test_hunt_outcome_is_pinned(case):
+    r, samples, seed, *expected = case
+    out = hunt(SearchConfig(r=r, sample_count=samples, rng_seed=seed))
+    assert outcome_key(out) == tuple(expected)
+
+
+def test_hunt_outcome_at_seed_42_is_identical_for_every_thread_count():
+    # five sweep chunks, so two to four workers really split the sweep
+    r, samples, seed, *expected = PINNED_HUNTS[-1]
+    cfg = SearchConfig(r=r, sample_count=samples, rng_seed=seed)
+    assert samples > 4 * numeric_search._CHUNK_ROWS
+    base = hunt(cfg, threads=1)
+    assert outcome_key(base) == tuple(expected)
+    for threads in (2, 3, 4):
+        out = hunt(cfg, threads=threads)
+        assert out.max_defect == base.max_defect
+        assert out.max_relative_defect == base.max_relative_defect
+        assert np.array_equal(out.argmax[0].magnitudes, base.argmax[0].magnitudes)
+        assert np.array_equal(out.argmax[1].magnitudes, base.argmax[1].magnitudes)
+        assert out.samples_evaluated == base.samples_evaluated
+        assert out.violation_found == base.violation_found
+
+
+# ---------------------------------------------------------------------------
+# ascent and lattice against their one-at-a-time forms
+# ---------------------------------------------------------------------------
+
+def reference_ascend(exponents, a, b, steps, step_size):
+    """The ascent as it scored one move per ``_batch_defects`` call."""
+    x = np.concatenate([a, b])
+    r = a.shape[0]
+
+    def rel_at(v):
+        _, rel = numeric_search._batch_defects(exponents, v[None, :r], v[None, r:])
+        return float(rel[0])
+
+    current = rel_at(x)
+    evals = 1
+    h = step_size
+    for _ in range(steps):
+        improved = False
+        for j in range(2 * r):
+            for sign in (1.0, -1.0):
+                cand = x.copy()
+                cand[j] = max(0.0, cand[j] + sign * h * max(abs(cand[j]), 1e-3))
+                if cand[j] == x[j]:
+                    continue
+                value = rel_at(cand)
+                evals += 1
+                if value > current:
+                    current, x = value, cand
+                    improved = True
+                    break
+        if not improved:
+            h *= 0.5
+            if h < 1e-10:
+                break
+    return x[:r], x[r:], current, evals
+
+
+def ascent_start(r, seed, zeros=False, tiny=False):
+    rng = np.random.default_rng(seed)
+    a = 10.0 ** rng.uniform(-3.0, 3.0, r)
+    b = 10.0 ** rng.uniform(-3.0, 3.0, r)
+    if zeros:  # the minus move at a zero is skipped, small ones are clipped
+        a[::2] = 0.0
+        b[1::2] = 0.0
+    if tiny:
+        b[:] = 1e-4
+    return a, b
+
+
+ASCENT_CASES = [
+    # (r, start seed, zeros, tiny, steps, step_size)
+    (1, 0, False, False, 200, 0.25),
+    (1, 1, True, False, 50, 0.25),
+    (2, 2, True, False, 200, 0.25),
+    (3, 3, False, True, 200, 0.25),
+    (5, 4, False, False, 200, 0.25),
+    (5, 5, True, False, 200, 0.25),
+    (5, 6, False, True, 1, 0.25),
+    (5, 7, False, False, 3, 1e-12),
+    (5, 8, True, True, 60, 1e3),
+    (8, 9, False, False, 40, 5.0),
+    (12, 10, True, False, 60, 0.25),
+    (24, 11, False, False, 30, 0.25),
+]
+
+
+@pytest.mark.parametrize("case", ASCENT_CASES)
+def test_batched_ascent_matches_one_move_per_call(case):
+    r, seed, zeros, tiny, steps, step_size = case
+    exps = np.asarray(GradingSignature(r).exponents, dtype=float)
+    a, b = ascent_start(r, seed, zeros, tiny)
+    want = reference_ascend(exps, a, b, steps, step_size)
+    got = numeric_search._ascend(exps, a, b, steps, step_size)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2].hex() == want[2].hex()
+    assert got[3] == want[3]
+    assert np.all(got[0] >= 0) and np.all(got[1] >= 0)
+
+
+def test_batched_ascent_matches_when_the_step_size_runs_out():
+    # with b = 0 the defect is exactly 0 and no move raises it, so every
+    # step halves h; each step with h >= 1e-10 scores at least one move,
+    # so fewer evaluations than steps means the ascent stopped on h
+    r, steps = 3, 1000
+    exps = np.asarray(GradingSignature(r).exponents, dtype=float)
+    a, _ = ascent_start(r, 12)
+    b = np.zeros(r)
+    want = reference_ascend(exps, a, b, steps, 0.25)
+    got = numeric_search._ascend(exps, a, b, steps, 0.25)
+    assert want[2] == 0.0
+    assert want[3] < steps
+    assert np.array_equal(np.concatenate(got[:2]), np.concatenate(want[:2]))
+    assert got[2].hex() == want[2].hex()
+    assert got[3] == want[3]
+
+
+def test_grid_points_match_itertools_product():
+    rng = np.random.default_rng(0)  # unused by the full lattice
+    shapes = [
+        (resolution, r)
+        for resolution in range(1, 7)
+        for r in range(1, 9)
+        if resolution ** (2 * r) <= numeric_search._GRID_POINT_CAP
+    ]
+    assert (3, 5) in shapes  # the default lattice at r = 5
+    for resolution, r in shapes:
+        axes = np.linspace(0.0, 1.0, resolution)
+        want = np.array(list(itertools.product(axes, repeat=2 * r)))
+        got = numeric_search._grid_points(r, resolution, rng)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), (resolution, r)
 
 
 def test_hunt_argmax_stays_in_nonnegative_orthant():

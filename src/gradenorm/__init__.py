@@ -4,115 +4,75 @@ The library computes the candidate norm and its dilations, reduces the
 triangle inequality to scalar profiles, proves the scalar statement per
 length with exact Hölder/Muirhead certificates, and hunts numerically
 for counterexamples.
+
+The exact core (``exactmath``, ``expansion``, ``certificate``) imports
+only the standard library; numpy and floats belong to ``graded_space``
+and ``numeric_search``. Importing the package loads none of them: each
+public name below is imported from its module on first access (PEP 562),
+so ``from gradenorm import check_certificate`` never loads numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .exactmath import (
-    ExponentPair,
-    Rational,
-    binom,
-    majorizes,
-    muirhead_pair_holds,
-    rational_from_str,
-    rational_to_str,
-)
-from .graded_space import (
-    GradedVector,
-    GradingSignature,
-    ScalarProfile,
-    dilate,
-    hnorm,
-    homogeneity_defect,
-    profile_from_json,
-    profile_to_json,
-    random_vector,
-    scalar_norm,
-    scalar_profile,
-    triangle_defect,
-    vector_from_json,
-    vector_to_json,
-)
-from .expansion import (
-    RhsOrbit,
-    ShadowPair,
-    TermOrbit,
-    holder_shadow_bound_check,
-    lhs_orbits,
-    orbit_exponents,
-    pure_terms_cancel,
-    rhs_orbits,
-    shadow,
-)
-from .certificate import (
-    Certificate,
-    CertificateLine,
-    CheckReport,
-    ProofReport,
-    Violation,
-    certificate_from_json,
-    certificate_to_json,
-    certificate_to_report,
-    check_certificate,
-    check_line,
-    search_certificate,
-)
-from .numeric_search import (
-    SearchConfig,
-    SearchOutcome,
-    check_line_numeric,
-    hunt,
-    line_defect,
-    scalar_defect,
-)
+# public name -> the module that defines it
+_EXPORTS = {
+    "Rational": "exactmath",
+    "ExponentPair": "exactmath",
+    "GradingSignature": "exactmath",
+    "binom": "exactmath",
+    "majorizes": "exactmath",
+    "rational_from_str": "exactmath",
+    "rational_to_str": "exactmath",
+    "TermOrbit": "expansion",
+    "RhsOrbit": "expansion",
+    "ShadowPair": "expansion",
+    "lhs_orbits": "expansion",
+    "rhs_orbits": "expansion",
+    "shadow": "expansion",
+    "orbit_exponents": "expansion",
+    "CertificateLine": "certificate",
+    "Certificate": "certificate",
+    "CheckReport": "certificate",
+    "Violation": "certificate",
+    "ProofReport": "certificate",
+    "check_line": "certificate",
+    "check_certificate": "certificate",
+    "search_certificate": "certificate",
+    "certificate_to_report": "certificate",
+    "certificate_to_json": "certificate",
+    "certificate_from_json": "certificate",
+    "GradedVector": "graded_space",
+    "ScalarProfile": "graded_space",
+    "hnorm": "graded_space",
+    "dilate": "graded_space",
+    "homogeneity_defect": "graded_space",
+    "scalar_profile": "graded_space",
+    "scalar_norm": "graded_space",
+    "triangle_defect": "graded_space",
+    "random_vector": "graded_space",
+    "vector_to_json": "graded_space",
+    "vector_from_json": "graded_space",
+    "profile_to_json": "graded_space",
+    "profile_from_json": "graded_space",
+    "SearchConfig": "numeric_search",
+    "SearchOutcome": "numeric_search",
+    "scalar_defect": "numeric_search",
+    "hunt": "numeric_search",
+    "line_defect": "numeric_search",
+    "check_line_numeric": "numeric_search",
+    "pure_terms_cancel": "numeric_search",
+    "holder_shadow_bound_check": "numeric_search",
+}
 
-__all__ = [
-    "__version__",
-    "Rational",
-    "ExponentPair",
-    "binom",
-    "majorizes",
-    "muirhead_pair_holds",
-    "rational_from_str",
-    "rational_to_str",
-    "GradingSignature",
-    "GradedVector",
-    "ScalarProfile",
-    "hnorm",
-    "dilate",
-    "homogeneity_defect",
-    "scalar_profile",
-    "scalar_norm",
-    "triangle_defect",
-    "random_vector",
-    "vector_to_json",
-    "vector_from_json",
-    "profile_to_json",
-    "profile_from_json",
-    "TermOrbit",
-    "RhsOrbit",
-    "ShadowPair",
-    "lhs_orbits",
-    "rhs_orbits",
-    "shadow",
-    "orbit_exponents",
-    "pure_terms_cancel",
-    "holder_shadow_bound_check",
-    "CertificateLine",
-    "Certificate",
-    "CheckReport",
-    "Violation",
-    "ProofReport",
-    "check_line",
-    "check_certificate",
-    "search_certificate",
-    "certificate_to_report",
-    "certificate_to_json",
-    "certificate_from_json",
-    "SearchConfig",
-    "SearchOutcome",
-    "scalar_defect",
-    "hunt",
-    "line_defect",
-    "check_line_numeric",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

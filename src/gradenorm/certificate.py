@@ -53,9 +53,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .exactmath import binom, majorizes, rational_to_str
+from .exactmath import GradingSignature, binom, majorizes, rational_to_str
 from .expansion import lhs_orbits, orbit_exponents, shadow
-from .graded_space import GradingSignature
 
 __all__ = [
     "CertificateLine",

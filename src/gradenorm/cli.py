@@ -5,6 +5,10 @@ Exit codes are stable: 0 success / valid / no violation, 1 invalid
 certificate or violation found, 2 usage or parse errors. With --json
 stdout is a single JSON document; progress and diagnostics go to stderr.
 GRADENORM_THREADS caps worker threads for the hunt sweep.
+
+numpy, ``graded_space`` and ``numeric_search`` are imported inside the
+handlers that compute floats (norm, dilate, triangle-sample, hunt), so
+prove, check and report run on the exact modules alone.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ import os
 import sys
 from typing import Any, Sequence
 
-import numpy as np
-
 from . import __version__
 from .certificate import (
     certificate_from_json,
@@ -25,17 +27,8 @@ from .certificate import (
     check_certificate,
     search_certificate,
 )
+from .exactmath import GradingSignature
 from .expansion import orbit_table, rhs_table, shadow_table
-from .graded_space import (
-    GradingSignature,
-    dilate,
-    hnorm,
-    random_vector,
-    triangle_defect,
-    vector_from_json,
-    vector_to_json,
-)
-from .numeric_search import SearchConfig, hunt
 
 __all__ = ["main", "entrypoint"]
 
@@ -111,7 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hunt", help="numeric counterexample hunt for length r")
     p.add_argument("--r", type=_positive_int, required=True)
-    p.add_argument("--samples", type=_positive_int, default=SearchConfig.sample_count)
+    # None stands for SearchConfig's default, so that building the parser
+    # does not load numeric_search
+    p.add_argument("--samples", type=_positive_int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
 
@@ -123,6 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_norm(args: argparse.Namespace) -> int:
+    from .graded_space import hnorm, vector_from_json
+
     try:
         vec = vector_from_json(_load_json(args.infile))
         value = hnorm(vec)  # raises when a level length leaves the double range
@@ -136,6 +133,10 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 
 
 def _cmd_dilate(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .graded_space import dilate, vector_from_json, vector_to_json
+
     try:
         vec = vector_from_json(_load_json(args.infile))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -149,6 +150,16 @@ def _cmd_dilate(args: argparse.Namespace) -> int:
 
 
 def _cmd_triangle_sample(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .graded_space import (
+        hnorm,
+        random_vector,
+        triangle_defect,
+        vector_from_json,
+        vector_to_json,
+    )
+
     try:
         if args.infile is not None:
             payload = _load_json(args.infile)
@@ -221,7 +232,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
-    config = SearchConfig(r=args.r, sample_count=args.samples, rng_seed=args.seed)
+    from .numeric_search import SearchConfig, hunt
+
+    samples = args.samples or SearchConfig.sample_count
+    try:
+        config = SearchConfig(r=args.r, sample_count=samples, rng_seed=args.seed)
+    except ValueError as exc:
+        return _fail_usage(str(exc))
     outcome = hunt(config, threads=_threads())
     if args.json:
         _emit(outcome.to_json())

@@ -1,12 +1,14 @@
-"""Exact arithmetic kernel: big-integer binomial coefficients, rational
-exponent pairs, and the two-variable majorization predicate.
+"""Exact arithmetic kernel: the grading signature, big-integer binomial
+coefficients, rational exponent pairs, and the two-variable
+majorization predicate.
 
-The certificate checker trusts this module and nothing else, so every
-comparison here is exact. Rationals are ``fractions.Fraction`` values,
-which are always stored reduced with a positive denominator and compare
-by big-integer cross multiplication; no floating point enters the proof
-path. ``muirhead_pair_holds`` is the one numeric routine, kept as a
-cross-check of what ``majorizes`` certifies.
+The certificate checker trusts this module and ``expansion`` and
+nothing else, so every comparison here is exact. Rationals are
+``fractions.Fraction`` values, which are always stored reduced with a
+positive denominator and compare by big-integer cross multiplication.
+The module imports only the standard library and holds no numeric
+routine; ``ExponentPair.as_floats`` only hands exponents to the float
+side (``graded_space``, ``numeric_search``).
 
 All functions are pure and all values immutable, so concurrent use
 needs no coordination.
@@ -14,16 +16,17 @@ needs no coordination.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = [
+    "GradingSignature",
     "Rational",
     "ExponentPair",
     "binom",
     "majorizes",
-    "muirhead_pair_holds",
     "rational_from_str",
     "rational_to_str",
 ]
@@ -33,22 +36,33 @@ Rational = Fraction
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
 
 
-def binom(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k) for 0 <= k <= n.
+@dataclass(frozen=True)
+class GradingSignature:
+    """Grading length r together with the exponent ladder (2r, ..., 4, 2)."""
 
-    Multiplicative formula over Python big integers; the division at
-    step i is exact because i! divides any product of i consecutive
-    integers.
-    """
+    r: int
+    exponents: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < 1:
+            raise ValueError(f"grading length must be a positive integer, got {self.r!r}")
+        object.__setattr__(self, "exponents", tuple(2 * (self.r - i) for i in range(self.r)))
+
+    def exponent(self, level: int) -> int:
+        """e_i = 2(r - i + 1) for a 1-based level index."""
+        if not 1 <= level <= self.r:
+            raise ValueError(f"level {level} out of range for r={self.r}")
+        return self.exponents[level - 1]
+
+
+def binom(n: int, k: int) -> int:
+    """Exact binomial coefficient C(n, k) for 0 <= k <= n, as a Python
+    big integer (``math.comb``)."""
     if n < 0 or k < 0:
         raise ValueError(f"binom requires nonnegative arguments, got ({n}, {k})")
     if k > n:
         raise ValueError(f"binom requires k <= n, got ({n}, {k})")
-    k = min(k, n - k)
-    out = 1
-    for i in range(1, k + 1):
-        out = out * (n - k + i) // i
-    return out
+    return math.comb(n, k)
 
 
 def rational_to_str(x: Rational | int) -> str:
@@ -111,33 +125,3 @@ def majorizes(p: ExponentPair, q: ExponentPair) -> bool:
     """
     return p.degree() == q.degree() and p.hi >= q.hi
 
-
-def _symmetric_sum(pair: ExponentPair, x: float, y: float) -> float:
-    hi, lo = pair.as_floats()
-    return x**hi * y**lo + x**lo * y**hi
-
-
-def muirhead_pair_holds(
-    dominant: ExponentPair,
-    dominated: ExponentPair,
-    x: float,
-    y: float,
-    rel_tol: float = 1e-12,
-) -> bool:
-    """Numerically confirm the two-variable Muirhead comparison at (x, y).
-
-    Requires ``majorizes(dominant, dominated)`` and x, y >= 0; anything
-    else is a domain error. Returns whether
-
-        x^hi' y^lo' + x^lo' y^hi'  >=  x^hi y^lo + x^lo y^hi
-
-    holds within ``rel_tol`` relative slack. This is a test oracle only;
-    the certificate checker relies on ``majorizes`` alone.
-    """
-    if not majorizes(dominant, dominated):
-        raise ValueError(f"{dominant} does not majorize {dominated}")
-    if x < 0 or y < 0:
-        raise ValueError(f"arguments must be nonnegative, got ({x}, {y})")
-    big = _symmetric_sum(dominant, x, y)
-    small = _symmetric_sum(dominated, x, y)
-    return big >= small - rel_tol * max(1.0, big, small)

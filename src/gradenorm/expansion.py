@@ -24,8 +24,11 @@ applying Hölder's inequality with conjugate exponents 2r/(2r-k) and
 2r/k bounds the sum by A^{2r-k} B^k; these per-level slots are what the
 certificate lines spend.
 
-Pure functions throughout; exponent arithmetic is exact, the two
-numeric checks use doubles with relative tolerances.
+Pure functions throughout. Coefficients are big integers and
+exponents exact rationals; the module imports only ``exactmath``, so
+the certificate checker built on it never loads numpy. The float
+evaluation of these identities (the pure-term cancellation and the
+Hölder bound per slot) lives in ``numeric_search``.
 """
 
 from __future__ import annotations
@@ -33,10 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .exactmath import ExponentPair, binom, rational_to_str
-from .graded_space import GradingSignature, ScalarProfile, scalar_norm
+from .exactmath import ExponentPair, GradingSignature, binom, rational_to_str
 
 __all__ = [
     "TermOrbit",
@@ -46,8 +46,6 @@ __all__ = [
     "rhs_orbits",
     "shadow",
     "orbit_exponents",
-    "pure_terms_cancel",
-    "holder_shadow_bound_check",
     "orbit_table",
     "rhs_table",
     "shadow_table",
@@ -121,54 +119,6 @@ def orbit_exponents(sig: GradingSignature, level: int, split: int) -> ExponentPa
     if not 1 <= split <= e // 2:
         raise ValueError(f"split s={split} out of range for level {level} (e={e})")
     return ExponentPair(Fraction(e - split), Fraction(split))
-
-
-def pure_terms_cancel(sig: GradingSignature, trials: int = 8, rng_seed: int = 0) -> bool:
-    """Confirm the s = 0 / s = e_i pure terms equal the k = 0 / k = 2r terms.
-
-    Structurally both reduce to A^{2r} = sum_i a_i^{e_i}, which holds by
-    the definition of A with every boundary binomial coefficient equal
-    to 1; random profiles then confirm the identity numerically to
-    1e-12 relative.
-    """
-    two_r = 2 * sig.r
-    for i in range(1, sig.r + 1):
-        e = sig.exponent(i)
-        if binom(e, 0) != 1 or binom(e, e) != 1:
-            return False
-    if binom(two_r, 0) != 1 or binom(two_r, two_r) != 1:
-        return False
-
-    rng = np.random.default_rng(rng_seed)
-    exps = np.asarray(sig.exponents, dtype=float)
-    for _ in range(trials):
-        mags = 10.0 ** rng.uniform(-2.0, 2.0, size=sig.r)
-        profile = ScalarProfile(sig, mags)
-        power_sum = float(np.sum(mags**exps))
-        rebuilt = scalar_norm(profile) ** two_r
-        if abs(rebuilt - power_sum) > 1e-12 * max(1.0, power_sum):
-            return False
-    return True
-
-
-def holder_shadow_bound_check(
-    sig: GradingSignature, k: int, a: ScalarProfile, b: ScalarProfile
-) -> float:
-    """sum_i a_i^{alpha(k,i)} b_i^{beta(k,i)} - A^{2r-k} B^k.
-
-    Nonpositive by Hölder's inequality; callers allow it up to
-    1e-12 * max(1, A^{2r-k} B^k) in floating point.
-    """
-    if a.signature != sig or b.signature != sig:
-        raise ValueError("profiles do not match the signature")
-    if not 1 <= k <= sig.r:
-        raise ValueError(f"target k={k} out of range for r={sig.r}")
-    lhs = 0.0
-    for i in range(1, sig.r + 1):
-        alpha, beta = shadow(sig, k, i).exponents.as_floats()
-        lhs += a.magnitudes[i - 1] ** alpha * b.magnitudes[i - 1] ** beta
-    big_a, big_b = scalar_norm(a), scalar_norm(b)
-    return lhs - big_a ** (2 * sig.r - k) * big_b**k
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .exactmath import GradingSignature
+
 __all__ = [
     "GradingSignature",
     "GradedVector",
@@ -69,25 +71,6 @@ __all__ = [
 
 _INF = math.inf
 _TINY = sys.float_info.min  # the smallest normal double
-
-
-@dataclass(frozen=True)
-class GradingSignature:
-    """Grading length r together with the exponent ladder (2r, ..., 4, 2)."""
-
-    r: int
-    exponents: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < 1:
-            raise ValueError(f"grading length must be a positive integer, got {self.r!r}")
-        object.__setattr__(self, "exponents", tuple(2 * (self.r - i) for i in range(self.r)))
-
-    def exponent(self, level: int) -> int:
-        """e_i = 2(r - i + 1) for a 1-based level index."""
-        if not 1 <= level <= self.r:
-            raise ValueError(f"level {level} out of range for r={self.r}")
-        return self.exponents[level - 1]
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -1,5 +1,6 @@
-"""Floating-point falsification of the scalar triangle inequality, and
-numeric spot checks for certificate lines.
+"""Floating-point falsification of the scalar triangle inequality,
+numeric spot checks for certificate lines, and float checks of the
+expansion identities the certificates rest on.
 
 The hunter maximizes the defect N(a + b) - N(a) - N(b) over pairs of
 nonnegative profiles with three stages: a coarse lattice rescaled into
@@ -33,9 +34,9 @@ from typing import Any
 import numpy as np
 
 from .certificate import CertificateLine
-from .exactmath import binom
+from .exactmath import GradingSignature, binom
 from .expansion import shadow
-from .graded_space import GradingSignature, ScalarProfile, profile_from_json, profile_to_json
+from .graded_space import ScalarProfile, profile_from_json, profile_to_json, scalar_norm
 
 __all__ = [
     "SearchConfig",
@@ -44,6 +45,8 @@ __all__ = [
     "hunt",
     "line_defect",
     "check_line_numeric",
+    "pure_terms_cancel",
+    "holder_shadow_bound_check",
 ]
 
 LOG10_MAGNITUDE_RANGE = (-3.0, 3.0)
@@ -70,6 +73,8 @@ class SearchConfig:
                 raise ValueError(f"{name} must be positive")
         if self.ascent_step_size <= 0 or self.tolerance <= 0:
             raise ValueError("ascent_step_size and tolerance must be positive")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be nonnegative, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -302,18 +307,25 @@ def hunt(config: SearchConfig, threads: int = 1) -> SearchOutcome:
 # Per-line numeric checks
 # ---------------------------------------------------------------------------
 
+def _line_sides(sig: GradingSignature, line: CertificateLine, x, y):
+    """c_L (x^{e-s} y^s + x^s y^{e-s}) and c_R (x^a y^b + x^b y^a) of one
+    line, for float scalars or arrays x, y."""
+    e = sig.exponent(line.level)
+    s = line.split
+    c_left = float(binom(e, s))
+    c_right = float(binom(2 * sig.r, line.target))
+    alpha, beta = shadow(sig, line.target, line.level).exponents.as_floats()
+    lhs = c_left * (x ** float(e - s) * y ** float(s) + x ** float(s) * y ** float(e - s))
+    rhs = c_right * (x**alpha * y**beta + x**beta * y**alpha)
+    return lhs, rhs
+
+
 def line_defect(sig: GradingSignature, line: CertificateLine, x: float, y: float) -> float:
     """c_L (x^{e-s} y^s + x^s y^{e-s}) - c_R (x^a y^b + x^b y^a) at one point.
 
     Nonpositive for admissible lines and nonnegative x, y.
     """
-    e = sig.exponent(line.level)
-    s = line.split
-    c_left = binom(e, s)
-    c_right = binom(2 * sig.r, line.target)
-    alpha, beta = shadow(sig, line.target, line.level).exponents.as_floats()
-    lhs = c_left * (x ** (e - s) * y**s + x**s * y ** (e - s))
-    rhs = c_right * (x**alpha * y**beta + x**beta * y**alpha)
+    lhs, rhs = _line_sides(sig, line, x, y)
     return lhs - rhs
 
 
@@ -327,12 +339,6 @@ def check_line_numeric(
     max (lhs - rhs) / max(1, rhs); a line accepted by ``check_line``
     stays below ``config.tolerance``. Seeded per line, deterministic.
     """
-    e = sig.exponent(line.level)
-    s = line.split
-    c_left = float(binom(e, s))
-    c_right = float(binom(2 * sig.r, line.target))
-    alpha, beta = shadow(sig, line.target, line.level).exponents.as_floats()
-
     seed = np.random.SeedSequence(
         [config.rng_seed, line.level, line.split, line.target]
     )
@@ -344,7 +350,58 @@ def check_line_numeric(
     x = np.concatenate([x, extra_x])
     y = np.concatenate([y, extra_y])
 
-    lhs = c_left * (x ** float(e - s) * y**float(s) + x**float(s) * y ** float(e - s))
-    rhs = c_right * (x**alpha * y**beta + x**beta * y**alpha)
+    lhs, rhs = _line_sides(sig, line, x, y)
     rel = (lhs - rhs) / np.maximum(1.0, rhs)
     return float(rel.max())
+
+
+# ---------------------------------------------------------------------------
+# Expansion identities in floating point
+# ---------------------------------------------------------------------------
+
+def pure_terms_cancel(sig: GradingSignature, trials: int = 8, rng_seed: int = 0) -> bool:
+    """Confirm the s = 0 / s = e_i pure terms equal the k = 0 / k = 2r terms.
+
+    Structurally both reduce to A^{2r} = sum_i a_i^{e_i}, which holds by
+    the definition of A with every boundary binomial coefficient equal
+    to 1; random profiles then confirm the identity numerically to
+    1e-12 relative.
+    """
+    two_r = 2 * sig.r
+    for i in range(1, sig.r + 1):
+        e = sig.exponent(i)
+        if binom(e, 0) != 1 or binom(e, e) != 1:
+            return False
+    if binom(two_r, 0) != 1 or binom(two_r, two_r) != 1:
+        return False
+
+    rng = np.random.default_rng(rng_seed)
+    exps = np.asarray(sig.exponents, dtype=float)
+    for _ in range(trials):
+        mags = 10.0 ** rng.uniform(-2.0, 2.0, size=sig.r)
+        profile = ScalarProfile(sig, mags)
+        power_sum = float(np.sum(mags**exps))
+        rebuilt = scalar_norm(profile) ** two_r
+        if abs(rebuilt - power_sum) > 1e-12 * max(1.0, power_sum):
+            return False
+    return True
+
+
+def holder_shadow_bound_check(
+    sig: GradingSignature, k: int, a: ScalarProfile, b: ScalarProfile
+) -> float:
+    """sum_i a_i^{alpha(k,i)} b_i^{beta(k,i)} - A^{2r-k} B^k.
+
+    Nonpositive by Hölder's inequality; callers allow it up to
+    1e-12 * max(1, A^{2r-k} B^k) in floating point.
+    """
+    if a.signature != sig or b.signature != sig:
+        raise ValueError("profiles do not match the signature")
+    if not 1 <= k <= sig.r:
+        raise ValueError(f"target k={k} out of range for r={sig.r}")
+    lhs = 0.0
+    for i in range(1, sig.r + 1):
+        alpha, beta = shadow(sig, k, i).exponents.as_floats()
+        lhs += a.magnitudes[i - 1] ** alpha * b.magnitudes[i - 1] ** beta
+    big_a, big_b = scalar_norm(a), scalar_norm(b)
+    return lhs - big_a ** (2 * sig.r - k) * big_b**k

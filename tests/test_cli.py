@@ -171,6 +171,13 @@ def test_hunt_rejects_r_zero(capsys):
     assert main(["hunt", "--r", "0"]) == 2
 
 
+def test_hunt_rejects_negative_seed(capsys):
+    code, stdout, err = run(capsys, "hunt", "--r", "3", "--seed", "-1")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and "rng_seed" in err
+
+
 def test_hunt_threads_env_does_not_change_outcome(capsys, monkeypatch):
     args = ["hunt", "--r", "2", "--samples", "30000", "--seed", "9", "--json"]
     code, solo, _ = run(capsys, *args)

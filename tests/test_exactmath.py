@@ -9,10 +9,45 @@ from gradenorm.exactmath import (
     ExponentPair,
     binom,
     majorizes,
-    muirhead_pair_holds,
     rational_from_str,
     rational_to_str,
 )
+
+
+def multiplicative_binom(n, k):
+    """Reference C(n, k): the multiplicative formula over big integers.
+    The division at step i is exact because i! divides any product of i
+    consecutive integers."""
+    k = min(k, n - k)
+    out = 1
+    for i in range(1, k + 1):
+        out = out * (n - k + i) // i
+    return out
+
+
+def _symmetric_sum(pair, x, y):
+    hi, lo = pair.as_floats()
+    return x**hi * y**lo + x**lo * y**hi
+
+
+def muirhead_pair_holds(dominant, dominated, x, y, rel_tol=1e-12):
+    """Numerically confirm the two-variable Muirhead comparison at (x, y).
+
+    Requires ``majorizes(dominant, dominated)`` and x, y >= 0; anything
+    else is a domain error. Returns whether
+
+        x^hi' y^lo' + x^lo' y^hi'  >=  x^hi y^lo + x^lo y^hi
+
+    holds within ``rel_tol`` relative slack. A float oracle for what
+    ``majorizes`` certifies; the checker relies on ``majorizes`` alone.
+    """
+    if not majorizes(dominant, dominated):
+        raise ValueError(f"{dominant} does not majorize {dominated}")
+    if x < 0 or y < 0:
+        raise ValueError(f"arguments must be nonnegative, got ({x}, {y})")
+    big = _symmetric_sum(dominant, x, y)
+    small = _symmetric_sum(dominated, x, y)
+    return big >= small - rel_tol * max(1.0, big, small)
 
 
 def pascal_triangle(n_max):
@@ -48,6 +83,12 @@ def test_binom_agrees_with_pascal_oracle_up_to_60():
     for n in range(61):
         for k in range(n + 1):
             assert binom(n, k) == rows[n][k]
+
+
+def test_binom_agrees_with_multiplicative_formula_up_to_400():
+    for n in range(401):
+        for k in range(n + 1):
+            assert binom(n, k) == multiplicative_binom(n, k)
 
 
 def test_pascal_oracle_pins_924():

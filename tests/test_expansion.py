@@ -5,17 +5,16 @@ import pytest
 
 from gradenorm.exactmath import ExponentPair, binom
 from gradenorm.expansion import (
-    holder_shadow_bound_check,
     lhs_orbits,
     orbit_exponents,
     orbit_table,
-    pure_terms_cancel,
     rhs_orbits,
     rhs_table,
     shadow,
     shadow_table,
 )
 from gradenorm.graded_space import GradingSignature, ScalarProfile, scalar_norm
+from gradenorm.numeric_search import holder_shadow_bound_check, pure_terms_cancel
 
 
 def coeff_map(sig):

@@ -73,6 +73,8 @@ def test_config_validation():
         SearchConfig(r=2, sample_count=0)
     with pytest.raises(ValueError):
         SearchConfig(r=2, tolerance=0.0)
+    with pytest.raises(ValueError, match="rng_seed"):
+        SearchConfig(r=2, rng_seed=-1)
 
 
 @pytest.mark.parametrize("r", [2, 3, 5])

@@ -1,11 +1,15 @@
 import hashlib
 import json
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gradenorm.certificate as certificate_mod
 from gradenorm.certificate import (
+    REASONS,
     Certificate,
     CertificateLine,
     certificate_from_json,
@@ -15,7 +19,7 @@ from gradenorm.certificate import (
     check_line,
     search_certificate,
 )
-from gradenorm.exactmath import binom
+from gradenorm.exactmath import ExponentPair, binom, majorizes
 from gradenorm.expansion import lhs_orbits
 from gradenorm.graded_space import GradingSignature
 
@@ -158,6 +162,90 @@ def test_slot_conflict_reported():
     assert "slot_conflict" in reasons
 
 
+# Exhaustive mutations against a criterion written here: binomials by a
+# multiplicative loop, majorization on Fraction exponents, and its own
+# completeness and slot rules (a repeated orbit or slot is charged to
+# every line after the first that claims it).
+
+def loop_binom(n, k):
+    c = 1
+    for j in range(k):
+        c = c * (n - j) // (j + 1)
+    return c
+
+
+def reference_violations(sig, lines):
+    r = sig.r
+    expected = Counter()
+    orbits = Counter()
+    slots = Counter()
+    for ln in lines:
+        orbits[ln.level, ln.split] += 1
+        if orbits[ln.level, ln.split] > 1:
+            expected[ln, "incomplete"] += 1
+        slots[ln.target, ln.level] += 1
+        if slots[ln.target, ln.level] > 1:
+            expected[ln, "slot_conflict"] += 1
+    for i in range(1, r + 1):
+        e = 2 * (r - i + 1)
+        for s in range(1, e // 2 + 1):
+            if (i, s) not in orbits:
+                expected[None, "incomplete"] += 1
+    for ln in lines:
+        e = 2 * (r - ln.level + 1)
+        k, s = ln.target, ln.split
+        shade = ExponentPair(Fraction(e * (2 * r - k), 2 * r), Fraction(e * k, 2 * r))
+        if 2 * s != e and k == r:
+            expected[ln, "middle_mismatch"] += 1
+        elif loop_binom(e, s) > loop_binom(2 * r, k):
+            expected[ln, "coefficient"] += 1
+        elif not majorizes(shade, ExponentPair(Fraction(e - s), Fraction(s))):
+            expected[ln, "majorization"] += 1
+    return expected
+
+
+def single_line_mutations(cert):
+    lines = cert.lines
+    for j, ln in enumerate(lines):
+        for k in range(1, cert.r + 1):
+            yield lines[:j] + (CertificateLine(ln.level, ln.split, k),) + lines[j + 1 :]
+        yield lines[:j] + lines[j + 1 :]
+        yield lines + (ln,)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_checker_matches_reference_on_every_single_line_mutation(r):
+    sig = GradingSignature(r)
+    seen = set()
+    cases = 0
+    for lines in single_line_mutations(search_certificate(sig)):
+        expected = reference_violations(sig, lines)
+        report = check_certificate(sig, Certificate(r, lines))
+        assert report.valid == (not expected), lines
+        assert Counter((v.line, v.reason) for v in report.violations) == expected, lines
+        seen.update(reason for _, reason in expected)
+        cases += 1
+    n = r * (r + 1) // 2
+    assert cases == n * (r + 2)
+    if r >= 4:
+        assert seen == set(REASONS)
+
+
+def test_report_checks_each_line_exactly_once(monkeypatch):
+    calls = []
+    real_check = certificate_mod.check_line
+
+    def counting(sig, line):
+        calls.append(line)
+        return real_check(sig, line)
+
+    monkeypatch.setattr(certificate_mod, "check_line", counting)
+    sig = GradingSignature(12)
+    cert = search_certificate(sig)
+    certificate_to_report(sig, cert)
+    assert len(calls) == len(cert.lines)
+
+
 def test_check_certificate_r_mismatch():
     with pytest.raises(ValueError):
         check_certificate(GradingSignature(4), load_fixture(3))
@@ -243,6 +331,36 @@ def test_search_json_is_pinned_for_r_up_to_60():
     assert (
         hashlib.sha256(blob.encode()).hexdigest()
         == "c0e3b40842895cf52128d56d5e6e87b778eeb6394c4b3bea692e20058be4a3c4"
+    )
+
+
+def _sha256_lines(texts):
+    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
+
+
+def test_report_json_and_text_are_pinned_for_r_up_to_60():
+    # digests recorded before the checker and the report moved to integers
+    reports = [
+        certificate_to_report(GradingSignature(r), search_certificate(GradingSignature(r)))
+        for r in range(1, 61)
+    ]
+    assert (
+        _sha256_lines(json.dumps(rep.to_json()) for rep in reports)
+        == "3599706b4559345bbf89249145d8aa69eb1b84b7f74adbe30cb30a6ecaa7f9e7"
+    )
+    assert (
+        _sha256_lines(rep.render_text() for rep in reports)
+        == "02864109d95013553a1022d214ab9a93a8c580d2b386213ea64fe59747a5b7a6"
+    )
+
+
+def test_check_reports_are_pinned_for_fixtures_and_an_empty_certificate():
+    certs = [load_fixture(r) for r in (3, 4, 5)] + [Certificate(300, ())]
+    assert (
+        _sha256_lines(
+            json.dumps(check_certificate(GradingSignature(c.r), c).to_json()) for c in certs
+        )
+        == "eb3eca739ac4ddece3b1ceb884c1e39b7cde4512cc4cff87a6203f2aed53aec0"
     )
 
 

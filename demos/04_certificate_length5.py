@@ -3,7 +3,7 @@
 A certificate assigns every left orbit (i, s) to a right orbit k so
 that the coefficient and majorization conditions hold line by line and
 no Hölder slot is spent twice. The checker is the trusted kernel: it
-re-derives everything with exact integer and rational arithmetic.
+re-derives everything with Python integers alone.
 """
 
 from gradenorm import (

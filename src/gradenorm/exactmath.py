@@ -2,8 +2,11 @@
 coefficients, rational exponent pairs, and the two-variable
 majorization predicate.
 
-The certificate checker trusts this module and ``expansion`` and
-nothing else, so every comparison here is exact. Rationals are
+The certificate checker uses ``GradingSignature`` and ``binom`` from
+this module. ``ExponentPair`` and ``majorizes`` are the definition of
+majorization on rational exponents; the checker applies the same
+definition to integer pairs scaled by 2r, and its tests compare the
+two. Every comparison here is exact. Rationals are
 ``fractions.Fraction`` values, which are always stored reduced with a
 positive denominator and compare by big-integer cross multiplication.
 The module imports only the standard library and holds no numeric

@@ -76,6 +76,11 @@ def test_check_line_coefficient_failure():
     assert check_line(GradingSignature(5), CertificateLine(3, 2, 1)) == "coefficient"
 
 
+def test_check_line_coefficient_failure_by_one():
+    # binom(6, 2) = 15 > binom(14, 1) = 14 at r = 7, the closest miss
+    assert check_line(GradingSignature(7), CertificateLine(5, 2, 1)) == "coefficient"
+
+
 def test_check_line_middle_mismatch():
     # a symmetric pair may not be charged to the single middle monomial
     assert check_line(GradingSignature(5), CertificateLine(1, 4, 5)) == "middle_mismatch"

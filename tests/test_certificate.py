@@ -74,10 +74,7 @@ def test_check_line_majorization_failure():
 def test_check_line_coefficient_failure():
     # binom(6, 2) = 15 > binom(10, 1) = 10, while majorization holds
     assert check_line(GradingSignature(5), CertificateLine(3, 2, 1)) == "coefficient"
-
-
-def test_check_line_coefficient_failure_by_one():
-    # binom(6, 2) = 15 > binom(14, 1) = 14 at r = 7, the closest miss
+    # binom(6, 2) = 15 > binom(14, 1) = 14 at r = 7: a miss by one
     assert check_line(GradingSignature(7), CertificateLine(5, 2, 1)) == "coefficient"
 
 

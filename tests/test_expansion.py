@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -227,3 +229,46 @@ def test_tables_are_json_ready():
     assert rhs[-1] == {"k": 3, "coefficient": 20, "is_middle": True, "exponents": [3, 3]}
     shadows = shadow_table(sig)
     assert {"k": 1, "i": 2, "hi": "10/3", "lo": "2/3"} in shadows
+
+
+def _sha256_lines(texts):
+    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
+
+
+def test_tables_are_pinned_for_r_up_to_60():
+    # the orbit, rhs and shadow listings that `report --json` prints
+    sigs = [GradingSignature(r) for r in range(1, 61)]
+    digests = {
+        table.__name__: _sha256_lines(json.dumps(table(sig)) for sig in sigs)
+        for table in (orbit_table, rhs_table, shadow_table)
+    }
+    assert digests == {
+        "orbit_table": "70c26f028dea9f6a2b28329eac9880953b5ad2d58c33767b75f93e8a785f9f4e",
+        "rhs_table": "1f17df34d17dd4fcee1ed417d85920b83b71488e5e4b163f20f0fb95cec75751",
+        "shadow_table": "a0a1218e868ece935bdea9d6cca975f055171000517470a474ffcb54c75b6c26",
+    }
+
+
+def test_rational_exponent_pairs_are_pinned_for_r_up_to_30():
+    # str() of the dataclasses shows the Fraction values themselves
+    sigs = [GradingSignature(r) for r in range(1, 31)]
+    shadows = (
+        str(shadow(sig, k, i))
+        for sig in sigs
+        for k in range(1, sig.r + 1)
+        for i in range(1, sig.r + 1)
+    )
+    assert (
+        _sha256_lines(shadows)
+        == "6aa7f6881939b014c8b9d931f80fed125dc619ee57789481d349ef61fdc264a4"
+    )
+    orbits = (
+        str(orbit_exponents(sig, i, s))
+        for sig in sigs
+        for i in range(1, sig.r + 1)
+        for s in range(1, sig.exponent(i) // 2 + 1)
+    )
+    assert (
+        _sha256_lines(orbits)
+        == "8132361a7a93e6904783bbb8ea6e80097ffcb28a3b62f843726bb2a20c7ead76"
+    )

@@ -38,16 +38,18 @@ the scalar triangle inequality. Per-level Euclidean triangle
 inequalities and monotonicity then extend it to graded vectors.
 
 The checker computes with Python integers only. It tests (b) with every
-exponent multiplied by 2r: the shadow becomes (e_i (2r - k), e_i k) and
-the orbit (2r (e_i - s), 2r s), both integer pairs, and scaling both
-pairs by the same positive factor changes neither their sums nor which
-leading exponent is larger, so this is the definition of majorization
-itself (``exactmath.majorizes``), not a lemma about the builder. The
-builder is untrusted by design: whatever it returns is re-checked. It
-targets each orbit at k = floor(2r s / e_i), which satisfies (a) and (b)
-and is injective per level (floors of a sequence with increments
-2r/e_i >= 1 are strictly increasing), so a certificate exists for every
-length and no search is needed.
+exponent multiplied by 2r: the shadow becomes (e_i (2r - k), e_i k)
+(``expansion.scaled_shadow``) and the orbit (2r (e_i - s), 2r s), both
+integer pairs, and scaling both pairs by the same positive factor
+changes neither their sums nor which leading exponent is larger, so
+this is the definition of majorization itself (``exactmath.majorizes``),
+not a lemma about the builder. Orbits come from ``expansion`` too, and
+``"p/q"`` strings from ``exactmath.ratio_to_str``, so no ``Fraction`` is
+built. The builder is untrusted by design: whatever it returns is
+re-checked. It targets each orbit at k = floor(2r s / e_i), which
+satisfies (a) and (b) and is injective per level (floors of a sequence
+with increments 2r/e_i >= 1 are strictly increasing), so a certificate
+exists for every length and no search is needed.
 
 Checker and builder are pure and can run concurrently without
 coordination.
@@ -55,11 +57,12 @@ coordination.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Any
 
-from .exactmath import GradingSignature, binom
+from .exactmath import GradingSignature, binom, ratio_to_str
+from .expansion import orbit_triples, scaled_shadow
 
 # The rational-exponent definitions the checker reproduces in integers.
 # They stay module attributes because the benchmark's traced run
@@ -75,6 +78,7 @@ __all__ = [
     "ReportGroup",
     "ProofReport",
     "REASONS",
+    "InvalidCertificateError",
     "check_line",
     "check_certificate",
     "search_certificate",
@@ -96,6 +100,12 @@ REASONS = (
     REASON_INCOMPLETE,
     REASON_MIDDLE_MISMATCH,
 )
+
+
+class InvalidCertificateError(ValueError):
+    """A well-formed certificate that fails the check. Other
+    ``ValueError``s are domain errors: an index out of range, or a
+    certificate for another length."""
 
 
 @dataclass(frozen=True)
@@ -151,16 +161,6 @@ class CheckReport:
         }
 
 
-def _check_ranges(sig: GradingSignature, line: CertificateLine) -> None:
-    if not 1 <= line.level <= sig.r:
-        raise ValueError(f"level {line.level} out of range for r={sig.r}")
-    e = sig.exponent(line.level)
-    if not 1 <= line.split <= e // 2:
-        raise ValueError(f"split {line.split} out of range for level {line.level} (e={e})")
-    if not 1 <= line.target <= sig.r:
-        raise ValueError(f"target {line.target} out of range for r={sig.r}")
-
-
 def check_line(sig: GradingSignature, line: CertificateLine) -> str | None:
     """None when the line is admissible, otherwise the violation reason.
 
@@ -168,15 +168,18 @@ def check_line(sig: GradingSignature, line: CertificateLine) -> str | None:
     of the exponent pairs scaled by 2r (see the module docstring).
     Out-of-range indices are a domain error.
     """
-    _check_ranges(sig, line)
-    e = sig.exponent(line.level)
+    e = sig.exponent(line.level)  # raises on an out-of-range level
     two_r, s, k = 2 * sig.r, line.split, line.target
+    if not 1 <= s <= e // 2:
+        raise ValueError(f"split {s} out of range for level {line.level} (e={e})")
+    if not 1 <= k <= sig.r:
+        raise ValueError(f"target {k} out of range for r={sig.r}")
     if s != e // 2 and k == sig.r:
         # a symmetric pair cannot be charged to the single middle monomial
         return REASON_MIDDLE_MISMATCH
     if binom(e, s) > binom(two_r, k):
         return REASON_COEFFICIENT
-    shade = (e * (two_r - k), e * k)
+    shade = scaled_shadow(two_r, e, k)
     orbit = (two_r * (e - s), two_r * s)
     if sum(shade) != sum(orbit) or max(shade) < max(orbit):
         return REASON_MAJORIZATION
@@ -200,29 +203,21 @@ def check_certificate(sig: GradingSignature, cert: Certificate) -> CheckReport:
     for line in cert.lines:
         key = (line.level, line.split)
         if key in seen_orbits:
-            violations.append(
-                Violation(line, REASON_INCOMPLETE, f"duplicate line for orbit (i={key[0]}, s={key[1]})")
-            )
+            detail = f"duplicate line for orbit (i={key[0]}, s={key[1]})"
+            violations.append(Violation(line, REASON_INCOMPLETE, detail))
         else:
             seen_orbits[key] = line
-    for i in range(1, sig.r + 1):
-        for s in range(1, sig.exponent(i) // 2 + 1):
-            if (i, s) not in seen_orbits:
-                violations.append(
-                    Violation(None, REASON_INCOMPLETE, f"orbit (i={i}, s={s}) has no line")
-                )
+    for i, _, s in orbit_triples(sig):
+        if (i, s) not in seen_orbits:
+            detail = f"orbit (i={i}, s={s}) has no line"
+            violations.append(Violation(None, REASON_INCOMPLETE, detail))
 
     seen_slots: set[tuple[int, int]] = set()
     for line in cert.lines:
         slot = (line.target, line.level)
         if slot in seen_slots:
-            violations.append(
-                Violation(
-                    line,
-                    REASON_SLOT_CONFLICT,
-                    f"slot (k={line.target}, i={line.level}) already spent",
-                )
-            )
+            detail = f"slot (k={line.target}, i={line.level}) already spent"
+            violations.append(Violation(line, REASON_SLOT_CONFLICT, detail))
         else:
             seen_slots.add(slot)
 
@@ -249,12 +244,7 @@ def search_certificate(sig: GradingSignature) -> Certificate:
     """
     two_r = 2 * sig.r
     return Certificate(
-        sig.r,
-        tuple(
-            CertificateLine(i, s, two_r * s // sig.exponent(i))
-            for i in range(1, sig.r + 1)
-            for s in range(1, sig.exponent(i) // 2 + 1)
-        ),
+        sig.r, tuple(CertificateLine(i, s, two_r * s // e) for i, e, s in orbit_triples(sig))
     )
 
 
@@ -266,25 +256,11 @@ def _pow(base: str, exp) -> str:
     return base if exp == 1 else f"{base}^{exp}"
 
 
-def _ratio_str(num: int, den: int) -> str:
-    """num/den in lowest terms, in the ``rational_to_str`` wire format."""
-    g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
-
-
-def _orbit_display(row: dict) -> str:
-    c, (hi, lo) = row["coefficient"], row["orbit_exponents"]
-    a, b = f"a{row['i']}", f"b{row['i']}"
+def _symmetric_display(c: int, a: str, b: str, hi: int, lo: int) -> str:
+    """c (a^hi b^lo + a^lo b^hi), or the single c a^hi b^lo when hi = lo."""
     if hi == lo:
         return f"{c} {_pow(a, hi)} {_pow(b, lo)}"
     return f"{c}({_pow(a, hi)} {_pow(b, lo)} + {_pow(a, lo)} {_pow(b, hi)})"
-
-
-def _rhs_display(r: int, k: int, c: int) -> str:
-    if k == r:
-        return f"{c} {_pow('A', r)} {_pow('B', r)}"
-    hi, lo = 2 * r - k, k
-    return f"{c}({_pow('A', hi)} {_pow('B', lo)} + {_pow('A', lo)} {_pow('B', hi)})"
 
 
 @dataclass(frozen=True)
@@ -326,42 +302,42 @@ def certificate_to_report(sig: GradingSignature, cert: Certificate) -> ProofRepo
     """Group a valid certificate by target and render each comparison,
     as display text and as JSON-ready line records for spot checking.
 
-    The certificate is checked once, by ``check_certificate``; the
-    coefficients and the shadow exponents ``"p/q"`` are then rendered
-    from integers."""
+    The certificate is checked once, by ``check_certificate``, whose
+    domain errors pass through; a certificate that fails the check
+    raises ``InvalidCertificateError``."""
     report = check_certificate(sig, cert)
     if not report.valid:
         reasons = ", ".join(sorted({v.reason for v in report.violations}))
-        raise ValueError(f"certificate does not validate ({reasons})")
+        raise InvalidCertificateError(f"certificate does not validate ({reasons})")
 
-    by_target: dict[int, list[CertificateLine]] = {}
-    for line in cert.lines:
-        by_target.setdefault(line.target, []).append(line)
-
+    # a valid certificate spends each slot (k, i) once, so this order is total
+    ordered = sorted(cert.lines, key=lambda ln: (ln.target, ln.level))
     two_r = 2 * sig.r
     groups = []
-    for k in sorted(by_target):
-        rows = []
-        for ln in sorted(by_target[k], key=lambda ln: ln.level):
-            e = sig.exponent(ln.level)
-            shade = [_ratio_str(e * (two_r - k), two_r), _ratio_str(e * k, two_r)]
+    for k, lines in groupby(ordered, key=lambda ln: ln.target):
+        rows, terms = [], []
+        for ln in lines:
+            i, s, e = ln.level, ln.split, sig.exponent(ln.level)
+            c = binom(e, s)
+            hi, lo = scaled_shadow(two_r, e, k)
             rows.append(
                 {
-                    "i": ln.level,
-                    "s": ln.split,
-                    "coefficient": binom(e, ln.split),
-                    "orbit_exponents": [e - ln.split, ln.split],
-                    "shadow_exponents": shade,
+                    "i": i,
+                    "s": s,
+                    "coefficient": c,
+                    "orbit_exponents": [e - s, s],
+                    "shadow_exponents": [ratio_to_str(hi, two_r), ratio_to_str(lo, two_r)],
                 }
             )
+            terms.append(_symmetric_display(c, f"a{i}", f"b{i}", e - s, s))
         rhs_coefficient = binom(two_r, k)
-        lhs = " + ".join(_orbit_display(row) for row in rows)
+        rhs = _symmetric_display(rhs_coefficient, "A", "B", two_r - k, k)
         groups.append(
             ReportGroup(
                 k=k,
                 rhs_coefficient=rhs_coefficient,
                 is_middle=(k == sig.r),
-                display=f"[k={k}]  {lhs} <= {_rhs_display(sig.r, k, rhs_coefficient)}",
+                display=f"[k={k}]  {' + '.join(terms)} <= {rhs}",
                 lines=tuple(rows),
             )
         )

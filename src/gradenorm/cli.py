@@ -21,6 +21,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .certificate import (
+    InvalidCertificateError,
     certificate_from_json,
     certificate_to_json,
     certificate_to_report,
@@ -60,9 +61,9 @@ def _load_json(path: str | None) -> Any:
         return json.load(fh)
 
 
-def _fail_usage(message: str) -> int:
+def _fail(message: str, code: int = 2) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return 2
+    return code
 
 
 def _emit(obj: Any) -> None:
@@ -124,7 +125,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
         vec = vector_from_json(_load_json(args.infile))
         value = hnorm(vec)  # raises when a level length leaves the double range
     except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _fail_usage(str(exc))
+        return _fail(str(exc))
     if args.json:
         _emit({"r": vec.signature.r, "hnorm": value})
     else:
@@ -144,7 +145,7 @@ def _cmd_dilate(args: argparse.Namespace) -> int:
         # a component that overflowed must not leave as JSON Infinity
         text = json.dumps(vector_to_json(scaled), allow_nan=False)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _fail_usage(str(exc))
+        return _fail(str(exc))
     print(text)
     return 0
 
@@ -187,7 +188,7 @@ def _cmd_triangle_sample(args: argparse.Namespace) -> int:
             "triangle_defect": triangle_defect(x, y),
         }
     except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _fail_usage(str(exc))
+        return _fail(str(exc))
     if args.json:
         _emit(result)
     else:
@@ -204,15 +205,14 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     try:
         report = certificate_to_report(sig, cert)  # re-checks before rendering
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(str(exc), 1)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(certificate_to_json(cert), fh, indent=2)
                 fh.write("\n")
         except OSError as exc:
-            return _fail_usage(str(exc))
+            return _fail(str(exc))
     if args.json:
         _emit({"certificate": certificate_to_json(cert), "report": report.to_json()})
     else:
@@ -226,7 +226,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         sig = GradingSignature(cert.r)
         report = check_certificate(sig, cert)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _fail_usage(str(exc))
+        return _fail(str(exc))
     _emit(report.to_json())
     return 0 if report.valid else 1
 
@@ -238,7 +238,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
     try:
         config = SearchConfig(r=args.r, sample_count=samples, rng_seed=args.seed)
     except ValueError as exc:
-        return _fail_usage(str(exc))
+        return _fail(str(exc))
     outcome = hunt(config, threads=_threads())
     if args.json:
         _emit(outcome.to_json())
@@ -258,13 +258,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     try:
         cert = certificate_from_json(_load_json(args.file))
         sig = GradingSignature(cert.r)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _fail_usage(str(exc))
-    try:
         report = certificate_to_report(sig, cert)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except InvalidCertificateError as exc:
+        return _fail(str(exc), 1)
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
+        return _fail(str(exc))
     if args.json:
         _emit(
             {

@@ -2,16 +2,17 @@
 coefficients, rational exponent pairs, and the two-variable
 majorization predicate.
 
-The certificate checker uses ``GradingSignature`` and ``binom`` from
-this module. ``ExponentPair`` and ``majorizes`` are the definition of
-majorization on rational exponents; the checker applies the same
-definition to integer pairs scaled by 2r, and its tests compare the
-two. Every comparison here is exact. Rationals are
-``fractions.Fraction`` values, which are always stored reduced with a
-positive denominator and compare by big-integer cross multiplication.
-The module imports only the standard library and holds no numeric
-routine; ``ExponentPair.as_floats`` only hands exponents to the float
-side (``graded_space``, ``numeric_search``).
+The certificate checker and report use ``GradingSignature``, ``binom``
+and ``ratio_to_str``, the one renderer of the ``"p/q"`` wire format; it
+takes an integer pair, so they build no ``Fraction``. ``ExponentPair``
+and ``majorizes`` are the definition of majorization on rational
+exponents; the checker applies the same definition to integer pairs
+scaled by 2r, and its tests compare the two. Every comparison here is
+exact. Rationals are ``fractions.Fraction`` values, which are always
+stored reduced with a positive denominator and compare by big-integer
+cross multiplication. The module imports only the standard library and
+holds no numeric routine; ``ExponentPair.as_floats`` only hands
+exponents to the float side (``graded_space``, ``numeric_search``).
 
 All functions are pure and all values immutable, so concurrent use
 needs no coordination.
@@ -32,6 +33,7 @@ __all__ = [
     "majorizes",
     "rational_from_str",
     "rational_to_str",
+    "ratio_to_str",
 ]
 
 Rational = Fraction
@@ -68,15 +70,19 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def rational_to_str(x: Rational | int) -> str:
-    """Render a rational as ``"p/q"``, or plain ``"p"`` when q = 1.
+def ratio_to_str(num: int, den: int) -> str:
+    """Render num/den (den > 0) in lowest terms as ``"p/q"``, or plain
+    ``"p"`` when the reduced denominator is 1.
 
     This is the wire format for rationals in every JSON payload.
     """
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def rational_to_str(x: Rational | int) -> str:
+    """``ratio_to_str`` of a ``Fraction`` or an int."""
+    return ratio_to_str(x.numerator, x.denominator)
 
 
 def rational_from_str(text: str) -> Rational:

@@ -17,31 +17,39 @@ orbit at k = r.
 
 The Hölder shadow of right-hand orbit k at level i is the exponent pair
 
-    (e_i (2r - k) / 2r,  e_i k / 2r),
+    (e_i (2r - k) / 2r,  e_i k / 2r).
 
-kept as exact rationals. Summing the shadow monomials over i and
-applying Hölder's inequality with conjugate exponents 2r/(2r-k) and
-2r/k bounds the sum by A^{2r-k} B^k; these per-level slots are what the
-certificate lines spend.
+Summing the shadow monomials over i and applying Hölder's inequality
+with conjugate exponents 2r/(2r-k) and 2r/k bounds the sum by
+A^{2r-k} B^k; these per-level slots are what the certificate lines
+spend.
 
-Pure functions throughout. Coefficients are big integers and
-exponents exact rationals; the module imports only ``exactmath``, so
-the certificate checker built on it never loads numpy. The float
-evaluation of these identities (the pure-term cancellation and the
-Hölder bound per slot) lives in ``numeric_search``.
+This module is the one integer ledger of the expansion. The orbit list
+(``orbit_triples``) and the shadow scaled by 2r (``scaled_shadow``) are
+defined here only; the checker, the builder, the report and the JSON
+tables all call them. Coefficients are big integers, and only ``shadow``
+and ``orbit_exponents`` build ``Fraction`` exponents, for the float side
+and the rational definition of majorization. Pure functions throughout.
+The module imports only ``exactmath``, so the certificate checker built
+on it never loads numpy. The float evaluation of these identities (the
+pure-term cancellation and the Hölder bound per slot) lives in
+``numeric_search``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import ExponentPair, GradingSignature, binom, rational_to_str
+from .exactmath import ExponentPair, GradingSignature, binom, ratio_to_str
 
 __all__ = [
     "TermOrbit",
     "RhsOrbit",
     "ShadowPair",
+    "orbit_triples",
+    "scaled_shadow",
     "lhs_orbits",
     "rhs_orbits",
     "shadow",
@@ -82,14 +90,23 @@ class ShadowPair:
     exponents: ExponentPair
 
 
+def orbit_triples(sig: GradingSignature) -> Iterator[tuple[int, int, int]]:
+    """Every left-hand cross-term orbit as (i, e_i, s), 1 <= s <= e_i/2,
+    by level and then split."""
+    for i, e in enumerate(sig.exponents, 1):
+        for s in range(1, e // 2 + 1):
+            yield i, e, s
+
+
+def scaled_shadow(two_r: int, e: int, k: int) -> tuple[int, int]:
+    """The shadow exponents of slot (k, i) times 2r: (e_i (2r-k), e_i k),
+    for e = e_i and 1 <= k <= r, larger first."""
+    return e * (two_r - k), e * k
+
+
 def lhs_orbits(sig: GradingSignature) -> list[TermOrbit]:
     """All left-hand cross-term orbits, one per (i, s) with 1 <= s <= e_i/2."""
-    orbits = []
-    for i in range(1, sig.r + 1):
-        e = sig.exponent(i)
-        for s in range(1, e // 2 + 1):
-            orbits.append(TermOrbit(i, s, binom(e, s), s == e // 2))
-    return orbits
+    return [TermOrbit(i, s, binom(e, s), s == e // 2) for i, e, s in orbit_triples(sig)]
 
 
 def rhs_orbits(sig: GradingSignature) -> list[RhsOrbit]:
@@ -106,11 +123,9 @@ def shadow(sig: GradingSignature, k: int, i: int) -> ShadowPair:
     """
     if not 1 <= k <= sig.r:
         raise ValueError(f"target k={k} out of range for r={sig.r}")
-    e = sig.exponent(i)  # validates i
     two_r = 2 * sig.r
-    return ShadowPair(
-        k, i, ExponentPair(Fraction(e * (two_r - k), two_r), Fraction(e * k, two_r))
-    )
+    hi, lo = scaled_shadow(two_r, sig.exponent(i), k)  # exponent() validates i
+    return ShadowPair(k, i, ExponentPair(Fraction(hi, two_r), Fraction(lo, two_r)))
 
 
 def orbit_exponents(sig: GradingSignature, level: int, split: int) -> ExponentPair:
@@ -128,13 +143,13 @@ def orbit_exponents(sig: GradingSignature, level: int, split: int) -> ExponentPa
 def orbit_table(sig: GradingSignature) -> list[dict]:
     return [
         {
-            "i": o.level,
-            "s": o.split,
-            "coefficient": o.coefficient,
-            "is_middle": o.is_middle,
-            "exponents": [sig.exponent(o.level) - o.split, o.split],
+            "i": i,
+            "s": s,
+            "coefficient": binom(e, s),
+            "is_middle": s == e // 2,
+            "exponents": [e - s, s],
         }
-        for o in lhs_orbits(sig)
+        for i, e, s in orbit_triples(sig)
     ]
 
 
@@ -151,11 +166,10 @@ def rhs_table(sig: GradingSignature) -> list[dict]:
 
 
 def shadow_table(sig: GradingSignature) -> list[dict]:
-    rows = []
-    for k in range(1, sig.r + 1):
-        for i in range(1, sig.r + 1):
-            pair = shadow(sig, k, i).exponents
-            rows.append(
-                {"k": k, "i": i, "hi": rational_to_str(pair.hi), "lo": rational_to_str(pair.lo)}
-            )
-    return rows
+    two_r = 2 * sig.r
+    return [
+        {"k": k, "i": i, "hi": ratio_to_str(hi, two_r), "lo": ratio_to_str(lo, two_r)}
+        for k in range(1, sig.r + 1)
+        for i, e in enumerate(sig.exponents, 1)
+        for hi, lo in [scaled_shadow(two_r, e, k)]
+    ]

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +145,19 @@ def test_report_invalid_certificate_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "report", path)
     assert code == 1
     assert "does not validate" in err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ({"i": 9, "s": 1, "k": 1}, "level 9 out of range for r=3"),
+        ({"i": 1, "s": 1, "k": 7}, "target 7 out of range for r=3"),
+    ],
+)
+def test_check_and_report_agree_on_out_of_range_line(capsys, tmp_path, line, message):
+    path = write_json(tmp_path / "out_of_range.json", {"r": 3, "lines": [line]})
+    results = [run(capsys, command, path) for command in ("check", "report")]
+    assert results == [(2, "", f"error: {message}\n")] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +369,7 @@ def test_console_module_entry_point():
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": str(FIXTURES.parents[1] / "src")},
     )
     assert result.returncode == 0
     assert "[k=2]" in result.stdout

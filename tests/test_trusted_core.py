@@ -9,7 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gradenorm
+from gradenorm import exactmath, expansion
+from gradenorm.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 CERT_R5 = str(ROOT / "tests" / "fixtures" / "cert_r5.json")
@@ -54,6 +58,25 @@ def test_exact_commands_do_not_load_numpy():
         ["lhs_orbits", "report", "rhs_orbits", "shadows"],
     ]
     assert version == f"gradenorm {gradenorm.__version__}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", CERT_R5, "--json"],
+        ["prove", "--r", "12", "--json"],
+        ["check", CERT_R5],
+    ],
+)
+def test_exact_commands_build_no_fraction(monkeypatch, capsys, argv):
+    # the ledger, the checker and the report are integer-only
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built")
+
+    monkeypatch.setattr(exactmath, "Fraction", no_fraction)
+    monkeypatch.setattr(expansion, "Fraction", no_fraction)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)
 
 
 def test_importing_the_checker_does_not_load_numpy():

@@ -81,7 +81,8 @@ def ratio_to_str(num: int, den: int) -> str:
 
 
 def rational_to_str(x: Rational | int) -> str:
-    """``ratio_to_str`` of a ``Fraction`` or an int."""
+    """``ratio_to_str`` of anything ``Fraction`` accepts."""
+    x = Fraction(x)
     return ratio_to_str(x.numerator, x.denominator)
 
 

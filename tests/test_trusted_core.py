@@ -1,7 +1,7 @@
 """The exact core (exactmath, expansion, certificate) and the commands
 built on it alone (check, prove, report, --version) must run without
-numpy and without the float modules; the package exports every public
-name lazily."""
+numpy and without the float modules, and check, prove and report build
+no Fraction; the package exports every public name lazily."""
 
 import json
 import os

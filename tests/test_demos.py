@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ def run_demo(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.mark.parametrize("demo", ["04_certificate_length5.py", "06_beyond_length_five.py"])
@@ -26,3 +28,12 @@ def test_certificate_demo_runs(demo):
 
 def test_homogeneity_demo_runs():
     run_demo("02_homogeneity_boundary.py")
+
+
+def test_counterexample_hunt_demo_output_is_pinned():
+    # four 200k-sample hunts; any change in a hunt's bits shows in the
+    # rounded defects, evaluation counts or argmax profiles it prints
+    stdout = run_demo("05_counterexample_hunt.py")
+    assert "VIOLATION" not in stdout
+    digest = hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+    assert digest == "24c8555df242118b3e8574db721841ce6b2f9122062b0cdca488effec469caef"

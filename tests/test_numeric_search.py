@@ -141,6 +141,16 @@ PINNED_HUNTS = [
     (24, 20000, 7, '0x1.0000000000000p-44', '0x1.fcf8a5e7f6d8bp-53', 'e6661a80df2638ea3c3832a5836f9af04c417dabd5baa8c819d30f4ac52be4ed', 155401, False),
     (24, 20000, 42, '0x1.0000000000000p-43', '0x1.d36acc9e337cap-53', '05d239181c3ccbbb3a707084dfb723b29e0b980cb2d539e61b2100e2fdfa324c', 139650, False),
     (5, 1000000, 42, '0x1.8000000000000p-43', '0x1.7fe99b05dd7b0p-52', '6ee04a030c28153ef794115ec3d5e5d26d1e4cdafaaa55af145bea95cb473fd8', 1064272, False),
+    # recorded with whole-chunk draws and one kernel call per chunk:
+    # r = 7 and 8 on either side of the width where sum(axis=1) turns
+    # pairwise, a last chunk of 50,001 rows, and sweeps of 1,000 rows
+    (7, 20000, 0, '0x1.0000000000000p-45', '0x1.f93f89434a1dfp-53', '8ad0e83aa740cc4068ac0d676b54a1e91649d5c1f33d83fde57de428b0bfcb84', 122753, False),
+    (7, 20000, 7, '0x1.1000000000000p-44', '0x1.0cd2d17ddffe3p-52', '37df9340a1e6c5c024f9d6f13b7eb21fbaecf71e217b58dae3e5cf9cdea5bc89', 122482, False),
+    (8, 20000, 0, '0x1.0000000000000p-44', '0x1.96e8c79c1a49bp-53', 'b464df0459f3dfbf244ff18f84d41a4301fd8818b2a25d7c441a590b04b8970c', 132002, False),
+    (8, 20000, 7, '0x1.0000000000000p-44', '0x1.e1731bd84fc12p-53', '1d6a5c1a7f0ff154c6282d74f06871a3dd17c7baccb16b3ca2f98b6bfefb7507', 131802, False),
+    (5, 1000, 0, '0x1.0000000000000p-43', '0x1.2ef4ca4b45e03p-52', 'a4a9dae1b4c8c8995f03b2fc61985a41641c7e688d1d51de8674be4268749979', 61721, False),
+    (24, 1000, 7, '0x1.0000000000000p-43', '0x1.c4754a3dcdef6p-53', '9df37a4076f969223ef54275151300665e0aabff0b53d2a743c644e9f63094f0', 136402, False),
+    (12, 450001, 3, '0x1.0000000000000p-44', '0x1.ffb06f960a915p-53', 'b44192fd56f28e8aaaafaa8186c40e3a9161a75c270aec0db3999f1dd4108b0a', 567653, False),
 ]
 
 
@@ -151,11 +161,9 @@ def test_hunt_outcome_is_pinned(case):
     assert outcome_key(out) == tuple(expected)
 
 
-def test_hunt_outcome_at_seed_42_is_identical_for_every_thread_count():
-    # five sweep chunks, so two to four workers really split the sweep
-    r, samples, seed, *expected = PINNED_HUNTS[-1]
+def assert_identical_for_every_thread_count(case):
+    r, samples, seed, *expected = case
     cfg = SearchConfig(r=r, sample_count=samples, rng_seed=seed)
-    assert samples > 4 * numeric_search._CHUNK_ROWS
     base = hunt(cfg, threads=1)
     assert outcome_key(base) == tuple(expected)
     for threads in (2, 3, 4):
@@ -166,6 +174,20 @@ def test_hunt_outcome_at_seed_42_is_identical_for_every_thread_count():
         assert np.array_equal(out.argmax[1].magnitudes, base.argmax[1].magnitudes)
         assert out.samples_evaluated == base.samples_evaluated
         assert out.violation_found == base.violation_found
+
+
+def test_hunt_outcome_at_seed_42_is_identical_for_every_thread_count():
+    # five sweep chunks, so two to four workers really split the sweep
+    case = next(c for c in PINNED_HUNTS if c[:3] == (5, 1_000_000, 42))
+    assert case[1] > 4 * numeric_search._CHUNK_ROWS
+    assert_identical_for_every_thread_count(case)
+
+
+def test_hunt_outcome_with_a_short_last_chunk_is_identical_for_every_thread_count():
+    # three chunks, the last of 50,001 rows
+    case = next(c for c in PINNED_HUNTS if c[:3] == (12, 450_001, 3))
+    assert case[1] % numeric_search._CHUNK_ROWS == 50_001
+    assert_identical_for_every_thread_count(case)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,11 @@ run is evidence, the certificate checker is the proof.
 Everything is deterministic given the configured seed, including the
 parallel path: work is split into fixed chunks with per-chunk spawned
 seeds and merged by first-best, so thread count never changes results.
+
+The lattice and every sweep chunk stream through the kernel in blocks
+of _BLOCK_ROWS rows, whose buffers stay in cache. The blocks are drawn
+from the same streams, in the same order, as whole-chunk draws, and a
+block's best merges first-best, so the result is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ LOG10_MAGNITUDE_RANGE = (-3.0, 3.0)
 
 _GRID_POINT_CAP = 100_000
 _CHUNK_ROWS = 200_000
+_BLOCK_ROWS = 4096
 _ASCENT_CANDIDATES = 8
 
 
@@ -108,13 +114,25 @@ class SearchOutcome:
 
 
 def _batch_norms(exponents: np.ndarray, mags: np.ndarray) -> np.ndarray:
-    """Scalar norms of an (N, r) block of profiles."""
+    """Scalar norms of an (N, r) block of profiles.
+
+    Below 8 columns numpy sums a row left to right, so the power sum is
+    built column by column in that order: the same bits, without a
+    numpy reduction loop per row. From 8 columns on numpy sums
+    pairwise, and ``sum(axis=1)`` is kept.
+    """
     r = exponents.shape[0]
     if r == 1:
         # (a^2)^(1/2) is the magnitude itself; keep it bit-exact
         return mags[:, 0].copy()
-    total = np.power(mags, exponents[None, :]).sum(axis=1)
-    return np.power(total, 1.0 / (2 * r))
+    powers = np.power(mags, exponents[None, :])
+    if r < 8:
+        total = powers[:, 0] + powers[:, 1]
+        for j in range(2, r):
+            total += powers[:, j]
+    else:
+        total = powers.sum(axis=1)
+    return np.power(total, 1.0 / (2 * r), out=total)
 
 
 def _batch_defects(exponents: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -156,23 +174,62 @@ def _scan_block(exponents, a, b, best: _Best) -> None:
     best.offer(rel[idx], defect[idx], a[idx], b[idx])
 
 
-def _grid_points(r: int, resolution: int, rng: np.random.Generator) -> np.ndarray:
-    """Lattice over [0, 1]^{2r}; full product when small enough, else a
-    seeded subsample of lattice points."""
+def _grid_lattice(r: int, resolution: int, rng: np.random.Generator):
+    """Lattice over [0, 1]^{2r} as integer levels, one row per point,
+    and the float value of each level; ``values[levels]`` is the lattice.
+    Full product when small enough, else a seeded subsample of lattice
+    points."""
     width = 2 * r
     if resolution**width <= _GRID_POINT_CAP:
-        axes = np.linspace(0.0, 1.0, resolution)
-        # row k is the k-th tuple of itertools.product(axes, repeat=width)
-        pts = axes[np.indices((resolution,) * width).reshape(width, -1).T]
-    else:
-        levels = rng.integers(0, resolution, size=(_GRID_POINT_CAP, width))
-        pts = levels / (resolution - 1)
-    return pts
+        # row k is the k-th tuple of product(range(resolution), repeat=width)
+        levels = np.indices((resolution,) * width).reshape(width, -1).T
+        return levels, np.linspace(0.0, 1.0, resolution)
+    levels = rng.integers(0, resolution, size=(_GRID_POINT_CAP, width))
+    # k / (resolution - 1), the bits of dividing the whole level array
+    return levels, np.arange(resolution) / (resolution - 1)
 
 
-def _log_uniform(rng: np.random.Generator, shape) -> np.ndarray:
+def _grid_points(r: int, resolution: int, rng: np.random.Generator) -> np.ndarray:
+    """The whole lattice as floats; ``hunt`` converts it block by block."""
+    levels, values = _grid_lattice(r, resolution, rng)
+    return values[levels]
+
+
+def _log_uniform_blocks(rng: np.random.Generator, rows: int, width: int):
+    """Yield the log-uniform magnitudes 10 ** U(lo, hi) of a (rows, width)
+    draw from ``rng`` in row blocks of at most _BLOCK_ROWS.
+
+    The blocks are bit for bit the rows of ``10.0 ** rng.uniform(lo, hi,
+    (rows, width))``: uniform is lo + (hi - lo) * random() and draws one
+    double after another in C order, and numpy's power gives a tiled
+    base of 10.0 the same bits as the scalar one, only faster. Each block
+    is one reused buffer, valid until the next block is drawn.
+    """
     lo, hi = LOG10_MAGNITUDE_RANGE
-    return 10.0 ** rng.uniform(lo, hi, size=shape)
+    size = min(rows, _BLOCK_ROWS)
+    buf = np.empty((size, width))
+    tens = np.full((size, width), 10.0)
+    for start in range(0, rows, size):
+        block = buf[: min(size, rows - start)]
+        rng.random(out=block)
+        block *= hi - lo
+        block += lo
+        yield np.power(tens[: block.shape[0]], block, out=block)
+
+
+def _sweep_blocks(seed: np.random.SeedSequence, rows: int, r: int):
+    """Yield the (a, b) row blocks of one sweep chunk of ``rows`` pairs.
+
+    The chunk's stream holds all of a, then all of b, each a (rows, r)
+    log-uniform draw. a is drawn block by block from a generator on
+    ``seed``; b from a second one on the same seed, advanced past a's
+    rows * r doubles (one 64-bit output each).
+    """
+    rng_b = np.random.Generator(np.random.PCG64(seed).advance(rows * r))
+    return zip(
+        _log_uniform_blocks(np.random.default_rng(seed), rows, r),
+        _log_uniform_blocks(rng_b, rows, r),
+    )
 
 
 def _ascend(exponents, a, b, steps: int, step_size: float):
@@ -237,6 +294,17 @@ def hunt(config: SearchConfig, threads: int = 1) -> SearchOutcome:
     Stages: rescaled lattice, seeded random sweep (chunked, optionally
     across ``threads`` workers), then coordinate ascent from the best
     candidates. Ascent never leaves the nonnegative orthant.
+
+    The lattice's integer levels are drawn whole; their float values and
+    log-uniform scales are made per block of _BLOCK_ROWS rows, in the
+    order of ``grid_rng``'s stream. A sweep chunk draws its profiles a
+    and then b: a comes block by block from the chunk's generator, and b
+    from a second generator on the same seed, advanced past a's
+    rows * r doubles (``_sweep_blocks``). Each block is scanned on its
+    own and the block bests merge first-best, which picks the row one
+    argmax over the whole chunk would pick. Only a NaN defect, which
+    needs an overflowing kernel, tells them apart: it drops its block
+    from the ranking, where a whole-chunk argmax dropped the chunk.
     """
     sig = GradingSignature(config.r)
     exps = np.asarray(sig.exponents, dtype=float)
@@ -248,11 +316,14 @@ def hunt(config: SearchConfig, threads: int = 1) -> SearchOutcome:
 
     # stage 1: lattice rescaled by log-uniform magnitudes
     grid_rng = np.random.default_rng(grid_ss)
-    pts = _grid_points(config.r, config.grid_resolution, grid_rng)
-    pts = pts * _log_uniform(grid_rng, pts.shape)
+    levels, values = _grid_lattice(config.r, config.grid_resolution, grid_rng)
+    scales = _log_uniform_blocks(grid_rng, levels.shape[0], 2 * config.r)
     grid_best = _Best()
-    _scan_block(exps, pts[:, : config.r], pts[:, config.r :], grid_best)
-    evaluated += pts.shape[0]
+    for start, scale in zip(range(0, levels.shape[0], _BLOCK_ROWS), scales):
+        pts = values[levels[start : start + _BLOCK_ROWS]]
+        pts *= scale
+        _scan_block(exps, pts[:, : config.r], pts[:, config.r :], grid_best)
+    evaluated += levels.shape[0]
     candidates.append(grid_best)
 
     # stage 2: random sweep in fixed chunks so thread count is irrelevant
@@ -260,12 +331,10 @@ def hunt(config: SearchConfig, threads: int = 1) -> SearchOutcome:
     chunk_seeds = sweep_ss.spawn(n_chunks)
 
     def run_chunk(index: int) -> _Best:
-        rng = np.random.default_rng(chunk_seeds[index])
         rows = min(_CHUNK_ROWS, config.sample_count - index * _CHUNK_ROWS)
-        a = _log_uniform(rng, (rows, config.r))
-        b = _log_uniform(rng, (rows, config.r))
         best = _Best()
-        _scan_block(exps, a, b, best)
+        for a, b in _sweep_blocks(chunk_seeds[index], rows, config.r):
+            _scan_block(exps, a, b, best)
         return best
 
     if threads > 1:

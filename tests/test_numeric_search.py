@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,6 +303,89 @@ def test_grid_points_match_itertools_product():
         got = numeric_search._grid_points(r, resolution, rng)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want), (resolution, r)
+
+
+# ---------------------------------------------------------------------------
+# block-wise kernel and draws against their whole-array forms
+# ---------------------------------------------------------------------------
+
+def norm_inputs(exps):
+    """Rows of random magnitudes whose powers are of one size, so that
+    the order of the sum shows in the last bits; random magnitudes over
+    600 decades; zeros, subnormals, 1e+300 and 1e-300 and mixtures of
+    them, for profiles of length r."""
+    r = exps.shape[0]
+    rng = np.random.default_rng(r)
+    tiny = np.nextafter(0.0, 1.0)
+    rows = [
+        10.0 ** (rng.uniform(-2.0, 2.0, size=(256, r)) / exps),
+        10.0 ** rng.uniform(-300.0, 300.0, size=(64, r)),
+        10.0 ** rng.uniform(-3.0, 3.0, size=(64, r)),
+        np.zeros((1, r)),
+        np.full((1, r), tiny),
+        tiny * rng.integers(1, 2**40, size=(4, r)).astype(float),
+        np.full((1, r), 1e300),
+        np.full((1, r), 1e-300),
+        rng.choice([0.0, tiny, 1e-300, 1.0, 1e300], size=(32, r)),
+    ]
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("r", range(1, 131))
+def test_batch_norms_matches_the_row_sum_form(r):
+    exps = np.asarray(GradingSignature(r).exponents, dtype=float)
+    mags = norm_inputs(exps)
+    with np.errstate(over="ignore", under="ignore"):
+        got = numeric_search._batch_norms(exps, mags)
+        if r == 1:
+            want = mags[:, 0]  # the magnitude itself, not (a^2)^(1/2)
+        else:
+            want = np.power(mags, exps[None, :]).sum(axis=1) ** (1.0 / (2 * r))
+    assert got.tobytes() == want.tobytes()
+
+
+def whole_log_uniform(rng, shape):
+    """The hunter's draw before it went block-wise: one array per profile."""
+    lo, hi = numeric_search.LOG10_MAGNITUDE_RANGE
+    return 10.0 ** rng.uniform(lo, hi, size=shape)
+
+
+def stacked(blocks):
+    return np.concatenate([block.copy() for block in blocks])  # buffers are reused
+
+
+@pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 200_000])
+def test_log_uniform_blocks_match_one_whole_draw(rows):
+    assert numeric_search._BLOCK_ROWS == 4096
+    for r in (1, 5) if rows == 200_000 else (1, 5, 24):
+        whole = whole_log_uniform(np.random.default_rng(rows + r), (rows, r))
+        blocks = numeric_search._log_uniform_blocks(np.random.default_rng(rows + r), rows, r)
+        assert stacked(blocks).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 200_000])
+def test_sweep_blocks_match_whole_chunk_draws(rows):
+    r = 5
+    seed = np.random.SeedSequence(rows).spawn(3)[2]
+    rng = np.random.default_rng(seed)
+    whole_a = whole_log_uniform(rng, (rows, r))
+    whole_b = whole_log_uniform(rng, (rows, r))
+    pairs = list((a.copy(), b.copy()) for a, b in numeric_search._sweep_blocks(seed, rows, r))
+    assert [a.shape[0] for a, _ in pairs][:-1] == [4096] * (len(pairs) - 1)
+    assert np.concatenate([a for a, _ in pairs]).tobytes() == whole_a.tobytes()
+    assert np.concatenate([b for _, b in pairs]).tobytes() == whole_b.tobytes()
+
+
+def test_hunt_memory_stays_bounded_at_r24():
+    # whole-chunk draws peaked at 187.7 MiB here; the int64 lattice of
+    # 100,000 x 48 levels is 36.6 MiB of what is left
+    tracemalloc.start()
+    try:
+        hunt(SearchConfig(r=24, sample_count=200_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_hunt_argmax_stays_in_nonnegative_orthant():

@@ -67,7 +67,7 @@ def _fail(message: str, code: int = 2) -> int:
 
 
 def _emit(obj: Any) -> None:
-    print(json.dumps(obj))
+    print(json.dumps(obj, allow_nan=False))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -232,6 +232,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
+    import math
+
     from .numeric_search import SearchConfig, hunt
 
     samples = args.samples or SearchConfig.sample_count
@@ -240,6 +242,12 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     outcome = hunt(config, threads=_threads())
+    if not all(map(math.isfinite, (outcome.max_defect, outcome.max_relative_defect))):
+        # the float kernel overflowed; an infinite defect is no violation
+        return _fail(
+            f"the float kernel overflowed at r={args.r}: max defect {outcome.max_defect}, "
+            f"max relative defect {outcome.max_relative_defect}"
+        )
     if args.json:
         _emit(outcome.to_json())
     else:

@@ -192,6 +192,17 @@ def test_hunt_rejects_negative_seed(capsys):
     assert err.startswith("error:") and "rng_seed" in err
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_hunt_non_finite_defect_is_an_error_not_a_violation(capsys, mode):
+    # at r = 47 the power sums overflow, and the hunt's best defect is inf
+    with np.errstate(all="ignore"):
+        code, stdout, err = run(capsys, "hunt", "--r", "47", "--samples", "20000", *mode)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and "overflowed at r=47" in err
+    assert "Infinity" not in err
+
+
 def test_hunt_threads_env_does_not_change_outcome(capsys, monkeypatch):
     args = ["hunt", "--r", "2", "--samples", "30000", "--seed", "9", "--json"]
     code, solo, _ = run(capsys, *args)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Any, Sequence
@@ -232,8 +233,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
-    import math
-
     from .numeric_search import SearchConfig, hunt
 
     samples = args.samples or SearchConfig.sample_count

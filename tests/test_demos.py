@@ -31,8 +31,8 @@ def test_homogeneity_demo_runs():
 
 
 def test_counterexample_hunt_demo_output_is_pinned():
-    # four 200k-sample hunts; any change in a hunt's bits shows in the
-    # rounded defects, evaluation counts or argmax profiles it prints
+    # four 200k-sample hunts: a hunt that changes shows in the rounded
+    # defect, evaluation count or argmax profiles the demo prints
     stdout = run_demo("05_counterexample_hunt.py")
     assert "VIOLATION" not in stdout
     digest = hashlib.sha256(stdout.encode("utf-8")).hexdigest()

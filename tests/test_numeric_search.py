@@ -345,22 +345,20 @@ def test_batch_norms_matches_the_row_sum_form(r):
 
 
 def whole_log_uniform(rng, shape):
-    """The hunter's draw before it went block-wise: one array per profile."""
+    """The log-uniform draw as one whole array: the blocks must match it."""
     lo, hi = numeric_search.LOG10_MAGNITUDE_RANGE
     return 10.0 ** rng.uniform(lo, hi, size=shape)
 
 
-def stacked(blocks):
-    return np.concatenate([block.copy() for block in blocks])  # buffers are reused
-
-
 @pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 200_000])
 def test_log_uniform_blocks_match_one_whole_draw(rows):
-    assert numeric_search._BLOCK_ROWS == 4096
+    assert numeric_search._BLOCK_ROWS == 4096  # the rows straddle one block
     for r in (1, 5) if rows == 200_000 else (1, 5, 24):
         whole = whole_log_uniform(np.random.default_rng(rows + r), (rows, r))
         blocks = numeric_search._log_uniform_blocks(np.random.default_rng(rows + r), rows, r)
-        assert stacked(blocks).tobytes() == whole.tobytes()
+        # each block is the same reused buffer, so copy it before the next
+        got = np.concatenate([block.copy() for block in blocks])
+        assert got.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 200_000])
@@ -370,7 +368,7 @@ def test_sweep_blocks_match_whole_chunk_draws(rows):
     rng = np.random.default_rng(seed)
     whole_a = whole_log_uniform(rng, (rows, r))
     whole_b = whole_log_uniform(rng, (rows, r))
-    pairs = list((a.copy(), b.copy()) for a, b in numeric_search._sweep_blocks(seed, rows, r))
+    pairs = [(a.copy(), b.copy()) for a, b in numeric_search._sweep_blocks(seed, rows, r)]
     assert [a.shape[0] for a, _ in pairs][:-1] == [4096] * (len(pairs) - 1)
     assert np.concatenate([a for a, _ in pairs]).tobytes() == whole_a.tobytes()
     assert np.concatenate([b for _, b in pairs]).tobytes() == whole_b.tobytes()

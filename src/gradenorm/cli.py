@@ -2,8 +2,10 @@
 
 Subcommands: norm, dilate, triangle-sample, prove, check, hunt, report.
 Exit codes are stable: 0 success / valid / no violation, 1 invalid
-certificate or violation found, 2 usage or parse errors. With --json
-stdout is a single JSON document; progress and diagnostics go to stderr.
+certificate or violation found, 2 usage or parse errors. Handlers return
+0 or 1 and raise every failure where it is found; ``main`` alone maps an
+exception to its exit code and its ``error:`` line. With --json stdout
+is a single JSON document; progress and diagnostics go to stderr.
 GRADENORM_THREADS caps worker threads for the hunt sweep.
 
 numpy, ``graded_space`` and ``numeric_search`` are imported inside the
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Any, Sequence
@@ -122,11 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_norm(args: argparse.Namespace) -> int:
     from .graded_space import hnorm, vector_from_json
 
-    try:
-        vec = vector_from_json(_load_json(args.infile))
-        value = hnorm(vec)  # raises when a level length leaves the double range
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _fail(str(exc))
+    vec = vector_from_json(_load_json(args.infile))
+    value = hnorm(vec)  # raises when a level length leaves the double range
     if args.json:
         _emit({"r": vec.signature.r, "hnorm": value})
     else:
@@ -139,15 +137,11 @@ def _cmd_dilate(args: argparse.Namespace) -> int:
 
     from .graded_space import dilate, vector_from_json, vector_to_json
 
-    try:
-        vec = vector_from_json(_load_json(args.infile))
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = dilate(args.t, vec)
-        # a component that overflowed must not leave as JSON Infinity
-        text = json.dumps(vector_to_json(scaled), allow_nan=False)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _fail(str(exc))
-    print(text)
+    vec = vector_from_json(_load_json(args.infile))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = dilate(args.t, vec)
+    # a component that overflowed raises here and never leaves as JSON Infinity
+    _emit(vector_to_json(scaled))
     return 0
 
 
@@ -162,34 +156,31 @@ def _cmd_triangle_sample(args: argparse.Namespace) -> int:
         vector_to_json,
     )
 
-    try:
-        if args.infile is not None:
-            payload = _load_json(args.infile)
-            if not isinstance(payload, dict) or "X" not in payload or "Y" not in payload:
-                raise ValueError("expected JSON with keys 'X' and 'Y'")
-            x = vector_from_json(payload["X"])
-            y = vector_from_json(payload["Y"])
-        elif args.r is not None:
-            sig = GradingSignature(args.r)
-            dims = None
-            if args.dims:
-                dims = tuple(int(d) for d in args.dims.split(","))
-            rng = np.random.default_rng(args.seed)
-            x = random_vector(sig, rng, dims=dims)
-            y = random_vector(sig, rng, dims=dims)
-        else:
-            raise ValueError("provide --in or --r")
-        # hnorm raises when a level length leaves the double range
-        result = {
-            "X": vector_to_json(x),
-            "Y": vector_to_json(y),
-            "hnorm_x": hnorm(x),
-            "hnorm_y": hnorm(y),
-            "hnorm_sum": hnorm(x + y),
-            "triangle_defect": triangle_defect(x, y),
-        }
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _fail(str(exc))
+    if args.infile is not None:
+        payload = _load_json(args.infile)
+        if not isinstance(payload, dict) or "X" not in payload or "Y" not in payload:
+            raise ValueError("expected JSON with keys 'X' and 'Y'")
+        x = vector_from_json(payload["X"])
+        y = vector_from_json(payload["Y"])
+    elif args.r is not None:
+        sig = GradingSignature(args.r)
+        dims = None
+        if args.dims:
+            dims = tuple(int(d) for d in args.dims.split(","))
+        rng = np.random.default_rng(args.seed)
+        x = random_vector(sig, rng, dims=dims)
+        y = random_vector(sig, rng, dims=dims)
+    else:
+        raise ValueError("provide --in or --r")
+    # hnorm raises when a level length leaves the double range
+    result = {
+        "X": vector_to_json(x),
+        "Y": vector_to_json(y),
+        "hnorm_x": hnorm(x),
+        "hnorm_y": hnorm(y),
+        "hnorm_sum": hnorm(x + y),
+        "triangle_defect": triangle_defect(x, y),
+    }
     if args.json:
         _emit(result)
     else:
@@ -203,17 +194,11 @@ def _cmd_triangle_sample(args: argparse.Namespace) -> int:
 def _cmd_prove(args: argparse.Namespace) -> int:
     sig = GradingSignature(args.r)
     cert = search_certificate(sig)
-    try:
-        report = certificate_to_report(sig, cert)  # re-checks before rendering
-    except ValueError as exc:
-        return _fail(str(exc), 1)
+    report = certificate_to_report(sig, cert)  # re-checks before rendering
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(certificate_to_json(cert), fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            return _fail(str(exc))
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(certificate_to_json(cert), fh, indent=2)
+            fh.write("\n")
     if args.json:
         _emit({"certificate": certificate_to_json(cert), "report": report.to_json()})
     else:
@@ -222,12 +207,8 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    try:
-        cert = certificate_from_json(_load_json(args.file))
-        sig = GradingSignature(cert.r)
-        report = check_certificate(sig, cert)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _fail(str(exc))
+    cert = certificate_from_json(_load_json(args.file))
+    report = check_certificate(GradingSignature(cert.r), cert)
     _emit(report.to_json())
     return 0 if report.valid else 1
 
@@ -236,17 +217,8 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
     from .numeric_search import SearchConfig, hunt
 
     samples = args.samples or SearchConfig.sample_count
-    try:
-        config = SearchConfig(r=args.r, sample_count=samples, rng_seed=args.seed)
-    except ValueError as exc:
-        return _fail(str(exc))
-    outcome = hunt(config, threads=_threads())
-    if not all(map(math.isfinite, (outcome.max_defect, outcome.max_relative_defect))):
-        # the float kernel overflowed; an infinite defect is no violation
-        return _fail(
-            f"the float kernel overflowed at r={args.r}: max defect {outcome.max_defect}, "
-            f"max relative defect {outcome.max_relative_defect}"
-        )
+    config = SearchConfig(r=args.r, sample_count=samples, rng_seed=args.seed)
+    outcome = hunt(config, threads=_threads())  # raises when the float kernel overflowed
     if args.json:
         _emit(outcome.to_json())
     else:
@@ -262,14 +234,9 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    try:
-        cert = certificate_from_json(_load_json(args.file))
-        sig = GradingSignature(cert.r)
-        report = certificate_to_report(sig, cert)
-    except InvalidCertificateError as exc:
-        return _fail(str(exc), 1)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _fail(str(exc))
+    cert = certificate_from_json(_load_json(args.file))
+    sig = GradingSignature(cert.r)
+    report = certificate_to_report(sig, cert)
     if args.json:
         _emit(
             {
@@ -301,7 +268,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except InvalidCertificateError as exc:
+        return _fail(str(exc), 1)
+    except (OSError, ValueError) as exc:  # ValueError covers json.JSONDecodeError
+        return _fail(str(exc))
 
 
 def entrypoint() -> None:

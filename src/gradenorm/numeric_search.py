@@ -146,13 +146,7 @@ def _batch_defects(exponents: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 def scalar_defect(a: ScalarProfile, b: ScalarProfile) -> float:
     """N(a + b) - N(a) - N(b) with the componentwise profile sum."""
-    if a.signature != b.signature:
-        raise ValueError("profiles live over different gradings")
-    exps = np.asarray(a.signature.exponents, dtype=float)
-    defect, _ = _batch_defects(
-        exps, a.magnitudes[None, :], b.magnitudes[None, :]
-    )
-    return float(defect[0])
+    return scalar_norm(a + b) - scalar_norm(a) - scalar_norm(b)
 
 
 @dataclass
@@ -187,12 +181,6 @@ def _grid_lattice(r: int, resolution: int, rng: np.random.Generator):
     levels = rng.integers(0, resolution, size=(_GRID_POINT_CAP, width))
     # k / (resolution - 1), the bits of dividing the whole level array
     return levels, np.arange(resolution) / (resolution - 1)
-
-
-def _grid_points(r: int, resolution: int, rng: np.random.Generator) -> np.ndarray:
-    """The whole lattice as floats; ``hunt`` converts it block by block."""
-    levels, values = _grid_lattice(r, resolution, rng)
-    return values[levels]
 
 
 def _log_uniform_blocks(rng: np.random.Generator, rows: int, width: int):
@@ -291,9 +279,11 @@ def _ascend(exponents, a, b, steps: int, step_size: float):
 def hunt(config: SearchConfig, threads: int = 1) -> SearchOutcome:
     """Maximize the scalar defect; deterministic for a fixed config.
 
-    Stages: rescaled lattice, seeded random sweep (chunked, optionally
-    across ``threads`` workers), then coordinate ascent from the best
-    candidates. Ascent never leaves the nonnegative orthant.
+    Stages: rescaled lattice, seeded random sweep (chunked, across
+    ``threads`` workers), then coordinate ascent from the best
+    candidates. Ascent never leaves the nonnegative orthant. Raises
+    ``ValueError`` when the best defect or relative defect is not finite:
+    the float kernel overflowed, and an infinite defect is no violation.
 
     The lattice's integer levels are drawn whole; their float values and
     log-uniform scales are made per block of _BLOCK_ROWS rows, in the
@@ -314,54 +304,59 @@ def hunt(config: SearchConfig, threads: int = 1) -> SearchOutcome:
     evaluated = 0
     candidates: list[_Best] = []
 
-    # stage 1: lattice rescaled by log-uniform magnitudes
-    grid_rng = np.random.default_rng(grid_ss)
-    levels, values = _grid_lattice(config.r, config.grid_resolution, grid_rng)
-    scales = _log_uniform_blocks(grid_rng, levels.shape[0], 2 * config.r)
-    grid_best = _Best()
-    for start, scale in zip(range(0, levels.shape[0], _BLOCK_ROWS), scales):
-        pts = values[levels[start : start + _BLOCK_ROWS]]
-        pts *= scale
-        _scan_block(exps, pts[:, : config.r], pts[:, config.r :], grid_best)
-    evaluated += levels.shape[0]
-    candidates.append(grid_best)
+    # an overflowing kernel warns on every block; the check at the end
+    # turns a non-finite best into one error instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        # stage 1: lattice rescaled by log-uniform magnitudes
+        grid_rng = np.random.default_rng(grid_ss)
+        levels, values = _grid_lattice(config.r, config.grid_resolution, grid_rng)
+        scales = _log_uniform_blocks(grid_rng, levels.shape[0], 2 * config.r)
+        grid_best = _Best()
+        for start, scale in zip(range(0, levels.shape[0], _BLOCK_ROWS), scales):
+            pts = values[levels[start : start + _BLOCK_ROWS]]
+            pts *= scale
+            _scan_block(exps, pts[:, : config.r], pts[:, config.r :], grid_best)
+        evaluated += levels.shape[0]
+        candidates.append(grid_best)
 
-    # stage 2: random sweep in fixed chunks so thread count is irrelevant
-    n_chunks = (config.sample_count + _CHUNK_ROWS - 1) // _CHUNK_ROWS
-    chunk_seeds = sweep_ss.spawn(n_chunks)
+        # stage 2: random sweep in fixed chunks so thread count is irrelevant
+        n_chunks = (config.sample_count + _CHUNK_ROWS - 1) // _CHUNK_ROWS
+        chunk_seeds = sweep_ss.spawn(n_chunks)
 
-    def run_chunk(index: int) -> _Best:
-        rows = min(_CHUNK_ROWS, config.sample_count - index * _CHUNK_ROWS)
-        best = _Best()
-        for a, b in _sweep_blocks(chunk_seeds[index], rows, config.r):
-            _scan_block(exps, a, b, best)
-        return best
+        def run_chunk(index: int) -> _Best:
+            rows = min(_CHUNK_ROWS, config.sample_count - index * _CHUNK_ROWS)
+            best = _Best()
+            # errstate is context-local: a pool worker does not inherit it
+            with np.errstate(over="ignore", invalid="ignore"):
+                for a, b in _sweep_blocks(chunk_seeds[index], rows, config.r):
+                    _scan_block(exps, a, b, best)
+            return best
 
-    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunk_bests = list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        chunk_bests = [run_chunk(i) for i in range(n_chunks)]
-    evaluated += config.sample_count
-    candidates.extend(chunk_bests)
+            candidates.extend(pool.map(run_chunk, range(n_chunks)))
+        evaluated += config.sample_count
 
-    # stage 3: refine the top candidates
-    ranked = sorted(
-        (c for c in candidates if c.a is not None),
-        key=lambda c: -c.rel,
-    )[:_ASCENT_CANDIDATES]
-    overall = _Best()
-    for c in ranked:
-        overall.offer(c.rel, c.raw, c.a, c.b)
-    for c in ranked:
-        a, b, rel, evals = _ascend(
-            exps, c.a, c.b, config.ascent_steps, config.ascent_step_size
+        # stage 3: refine the top candidates
+        ranked = sorted(
+            (c for c in candidates if c.a is not None),
+            key=lambda c: -c.rel,
+        )[:_ASCENT_CANDIDATES]
+        overall = _Best()
+        for c in ranked:
+            overall.offer(c.rel, c.raw, c.a, c.b)
+        for c in ranked:
+            a, b, rel, evals = _ascend(
+                exps, c.a, c.b, config.ascent_steps, config.ascent_step_size
+            )
+            evaluated += evals
+            defect, _ = _batch_defects(exps, a[None, :], b[None, :])
+            overall.offer(rel, float(defect[0]), a, b)
+
+    if not np.isfinite([overall.raw, overall.rel]).all():
+        raise ValueError(
+            f"the float kernel overflowed at r={config.r}: max defect {overall.raw}, "
+            f"max relative defect {overall.rel}"
         )
-        evaluated += evals
-        defect, _ = _batch_defects(exps, a[None, :], b[None, :])
-        overall.offer(rel, float(defect[0]), a, b)
-
-    assert overall.a is not None
     argmax = (ScalarProfile(sig, overall.a), ScalarProfile(sig, overall.b))
     return SearchOutcome(
         max_defect=overall.raw,

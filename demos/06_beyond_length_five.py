@@ -6,6 +6,10 @@ every length. This script builds those certificates, has the exact
 checker validate them, and cross-checks feasibility against a
 brute-force Hall-condition enumeration over every admissible
 (orbit, target) edge.
+
+The paper proves length 5. The lengths here rest on this repository's
+own argument (the lemma in the ``certificate`` module docstring),
+backed by the exact checker at each r.
 """
 
 import itertools

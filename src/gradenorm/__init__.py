@@ -18,18 +18,14 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it
 _EXPORTS = {
-    "Rational": "exactmath",
     "ExponentPair": "exactmath",
     "GradingSignature": "exactmath",
     "binom": "exactmath",
     "majorizes": "exactmath",
-    "rational_from_str": "exactmath",
     "rational_to_str": "exactmath",
     "TermOrbit": "expansion",
-    "RhsOrbit": "expansion",
     "ShadowPair": "expansion",
     "lhs_orbits": "expansion",
-    "rhs_orbits": "expansion",
     "shadow": "expansion",
     "orbit_exponents": "expansion",
     "CertificateLine": "certificate",
@@ -61,7 +57,6 @@ _EXPORTS = {
     "scalar_defect": "numeric_search",
     "hunt": "numeric_search",
     "line_defect": "numeric_search",
-    "check_line_numeric": "numeric_search",
     "pure_terms_cancel": "numeric_search",
     "holder_shadow_bound_check": "numeric_search",
 }

@@ -46,10 +46,15 @@ this is the definition of majorization itself (``exactmath.majorizes``),
 not a lemma about the builder. Orbits come from ``expansion`` too, and
 ``"p/q"`` strings from ``exactmath.ratio_to_str``, so no ``Fraction`` is
 built. The builder is untrusted by design: whatever it returns is
-re-checked. It targets each orbit at k = floor(2r s / e_i), which
-satisfies (a) and (b) and is injective per level (floors of a sequence
-with increments 2r/e_i >= 1 are strictly increasing), so a certificate
-exists for every length and no search is needed.
+re-checked. It targets each orbit at k = floor(n s / e) with n = 2r and
+e = e_i <= n. That k passes (a): k >= s and n - k >= n (e - s) / e >=
+e - s, and C(x + y, x) grows in both x and y, so C(e, s) =
+C(s + (e - s), s) <= C(k + (n - k), k) = C(n, k). It passes (b),
+which is e (n - k) >= n (e - s), that is k <= n s / e. It is injective
+per level (floors of a sequence with increments n/e >= 1 are strictly
+increasing), so a certificate exists for every length and no search is
+needed. The paper proves length 5; the other lengths rest on this
+argument, and the checker still checks every line.
 
 Checker and builder are pure and can run concurrently without
 coordination.

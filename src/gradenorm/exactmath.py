@@ -21,25 +21,17 @@ needs no coordination.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = [
     "GradingSignature",
-    "Rational",
     "ExponentPair",
     "binom",
     "majorizes",
-    "rational_from_str",
     "rational_to_str",
     "ratio_to_str",
 ]
-
-Rational = Fraction
-
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
-
 
 @dataclass(frozen=True)
 class GradingSignature:
@@ -80,18 +72,10 @@ def ratio_to_str(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-def rational_to_str(x: Rational | int) -> str:
+def rational_to_str(x: Fraction | int) -> str:
     """``ratio_to_str`` of anything ``Fraction`` accepts."""
     x = Fraction(x)
     return ratio_to_str(x.numerator, x.denominator)
-
-
-def rational_from_str(text: str) -> Rational:
-    """Parse ``"p/q"`` or ``"p"``. Decimal or float forms are rejected."""
-    stripped = text.strip()
-    if not _RATIONAL_RE.fullmatch(stripped):
-        raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(stripped)
 
 
 @dataclass(frozen=True)
@@ -102,8 +86,8 @@ class ExponentPair:
     degree comparison plus one leading-exponent comparison.
     """
 
-    hi: Rational
-    lo: Rational
+    hi: Fraction
+    lo: Fraction
 
     def __post_init__(self) -> None:
         hi, lo = Fraction(self.hi), Fraction(self.lo)
@@ -114,7 +98,7 @@ class ExponentPair:
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "lo", lo)
 
-    def degree(self) -> Rational:
+    def degree(self) -> Fraction:
         return self.hi + self.lo
 
     def as_floats(self) -> tuple[float, float]:

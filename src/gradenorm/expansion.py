@@ -27,8 +27,9 @@ spend.
 This module is the one integer ledger of the expansion. The orbit list
 (``orbit_triples``) and the shadow scaled by 2r (``scaled_shadow``) are
 defined here only; the checker, the builder, the report and the JSON
-tables all call them. Coefficients are big integers, and only ``shadow``
-and ``orbit_exponents`` build ``Fraction`` exponents, for the float side
+tables all call them. ``rhs_table`` is the one list of right-hand
+orbits. Coefficients are big integers, and only ``shadow`` and
+``orbit_exponents`` build ``Fraction`` exponents, for the float side
 and the rational definition of majorization. Pure functions throughout.
 The module imports only ``exactmath``, so the certificate checker built
 on it never loads numpy. The float evaluation of these identities (the
@@ -46,12 +47,10 @@ from .exactmath import ExponentPair, GradingSignature, binom, ratio_to_str
 
 __all__ = [
     "TermOrbit",
-    "RhsOrbit",
     "ShadowPair",
     "orbit_triples",
     "scaled_shadow",
     "lhs_orbits",
-    "rhs_orbits",
     "shadow",
     "orbit_exponents",
     "orbit_table",
@@ -67,16 +66,6 @@ class TermOrbit:
 
     level: int
     split: int
-    coefficient: int
-    is_middle: bool
-
-
-@dataclass(frozen=True)
-class RhsOrbit:
-    """A folded right-hand term: binom(2r, k)(A^{2r-k} B^k + A^k B^{2r-k}),
-    collapsing to the single binom(2r, r) A^r B^r when k = r."""
-
-    k: int
     coefficient: int
     is_middle: bool
 
@@ -107,12 +96,6 @@ def scaled_shadow(two_r: int, e: int, k: int) -> tuple[int, int]:
 def lhs_orbits(sig: GradingSignature) -> list[TermOrbit]:
     """All left-hand cross-term orbits, one per (i, s) with 1 <= s <= e_i/2."""
     return [TermOrbit(i, s, binom(e, s), s == e // 2) for i, e, s in orbit_triples(sig)]
-
-
-def rhs_orbits(sig: GradingSignature) -> list[RhsOrbit]:
-    """Right-hand orbits k = 1..r with coefficients binom(2r, k)."""
-    two_r = 2 * sig.r
-    return [RhsOrbit(k, binom(two_r, k), k == sig.r) for k in range(1, sig.r + 1)]
 
 
 def shadow(sig: GradingSignature, k: int, i: int) -> ShadowPair:
@@ -154,14 +137,17 @@ def orbit_table(sig: GradingSignature) -> list[dict]:
 
 
 def rhs_table(sig: GradingSignature) -> list[dict]:
+    """The folded right-hand terms k = 1..r: binom(2r, k)(A^{2r-k} B^k +
+    A^k B^{2r-k}), collapsing to the single binom(2r, r) A^r B^r when k = r."""
+    two_r = 2 * sig.r
     return [
         {
-            "k": o.k,
-            "coefficient": o.coefficient,
-            "is_middle": o.is_middle,
-            "exponents": [2 * sig.r - o.k, o.k],
+            "k": k,
+            "coefficient": binom(two_r, k),
+            "is_middle": k == sig.r,
+            "exponents": [two_r - k, k],
         }
-        for o in rhs_orbits(sig)
+        for k in range(1, sig.r + 1)
     ]
 
 

@@ -258,7 +258,8 @@ def homogeneity_defect(x: GradedVector, t: float) -> float:
 
 
 def triangle_defect(x: GradedVector, y: GradedVector) -> float:
-    """hnorm(x + y) - hnorm(x) - hnorm(y); nonpositive at least for r <= 5."""
+    """hnorm(x + y) - hnorm(x) - hnorm(y); nonpositive for r = 5 by the
+    paper, and for every r by the per-length certificates."""
     return hnorm(x + y) - hnorm(x) - hnorm(y)
 
 
@@ -285,6 +286,14 @@ def random_vector(
 # JSON wire formats
 # ---------------------------------------------------------------------------
 
+def _floats(values: Any, key: str) -> np.ndarray:
+    """``values`` as a float array; a non-numeric entry is a ValueError."""
+    try:
+        return np.asarray(values, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"{key} must hold numbers: {exc}") from None
+
+
 def vector_to_json(x: GradedVector) -> dict:
     """``{"r": int, "components": [[float, ...], ...]}``"""
     return {"r": x.signature.r, "components": [c.tolist() for c in x.components]}
@@ -298,7 +307,7 @@ def vector_from_json(obj: Any) -> GradedVector:
         raise ValueError(f"'r' must be an integer, got {r!r}")
     if not isinstance(components, list) or len(components) != r:
         raise ValueError(f"'components' must be a list of {r} level vectors")
-    return GradedVector(GradingSignature(r), tuple(components))
+    return GradedVector(GradingSignature(r), tuple(_floats(c, "'components'") for c in components))
 
 
 def profile_to_json(a: ScalarProfile) -> dict:
@@ -314,4 +323,4 @@ def profile_from_json(obj: Any) -> ScalarProfile:
         raise ValueError(f"'r' must be an integer, got {r!r}")
     if not isinstance(mags, list) or len(mags) != r:
         raise ValueError(f"'a' must be a list of {r} magnitudes")
-    return ScalarProfile(GradingSignature(r), np.asarray(mags, dtype=float))
+    return ScalarProfile(GradingSignature(r), _floats(mags, "'a'"))

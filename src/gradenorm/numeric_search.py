@@ -1,5 +1,5 @@
-"""Floating-point falsification of the scalar triangle inequality,
-numeric spot checks for certificate lines, and float checks of the
+"""Floating-point falsification of the scalar triangle inequality, the
+float value of one certificate line at a point, and float checks of the
 expansion identities the certificates rest on.
 
 The hunter maximizes the defect N(a + b) - N(a) - N(b) over pairs of
@@ -49,7 +49,6 @@ __all__ = [
     "scalar_defect",
     "hunt",
     "line_defect",
-    "check_line_numeric",
     "pure_terms_cancel",
     "holder_shadow_bound_check",
 ]
@@ -368,12 +367,14 @@ def hunt(config: SearchConfig, threads: int = 1) -> SearchOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Per-line numeric checks
+# Per-line float evaluation
 # ---------------------------------------------------------------------------
 
-def _line_sides(sig: GradingSignature, line: CertificateLine, x, y):
-    """c_L (x^{e-s} y^s + x^s y^{e-s}) and c_R (x^a y^b + x^b y^a) of one
-    line, for float scalars or arrays x, y."""
+def line_defect(sig: GradingSignature, line: CertificateLine, x: float, y: float) -> float:
+    """c_L (x^{e-s} y^s + x^s y^{e-s}) - c_R (x^a y^b + x^b y^a) at one point.
+
+    Nonpositive for admissible lines and nonnegative x, y.
+    """
     e = sig.exponent(line.level)
     s = line.split
     c_left = float(binom(e, s))
@@ -381,42 +382,7 @@ def _line_sides(sig: GradingSignature, line: CertificateLine, x, y):
     alpha, beta = shadow(sig, line.target, line.level).exponents.as_floats()
     lhs = c_left * (x ** float(e - s) * y ** float(s) + x ** float(s) * y ** float(e - s))
     rhs = c_right * (x**alpha * y**beta + x**beta * y**alpha)
-    return lhs, rhs
-
-
-def line_defect(sig: GradingSignature, line: CertificateLine, x: float, y: float) -> float:
-    """c_L (x^{e-s} y^s + x^s y^{e-s}) - c_R (x^a y^b + x^b y^a) at one point.
-
-    Nonpositive for admissible lines and nonnegative x, y.
-    """
-    lhs, rhs = _line_sides(sig, line, x, y)
     return lhs - rhs
-
-
-def check_line_numeric(
-    sig: GradingSignature, line: CertificateLine, config: SearchConfig
-) -> float:
-    """Largest relative excess of a line over sampled nonnegative (x, y).
-
-    Samples ``config.sample_count`` log-uniform points in [1e-6, 1e2]
-    plus boundary and diagonal cases, and returns
-    max (lhs - rhs) / max(1, rhs); a line accepted by ``check_line``
-    stays below ``config.tolerance``. Seeded per line, deterministic.
-    """
-    seed = np.random.SeedSequence(
-        [config.rng_seed, line.level, line.split, line.target]
-    )
-    rng = np.random.default_rng(seed)
-    x = 10.0 ** rng.uniform(-6.0, 2.0, size=config.sample_count)
-    y = 10.0 ** rng.uniform(-6.0, 2.0, size=config.sample_count)
-    extra_x = np.array([0.0, 1.0, 0.0, 1.0, 2.0, 7.5, 100.0, 100.0])
-    extra_y = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 7.5, 100.0, 1e-6])
-    x = np.concatenate([x, extra_x])
-    y = np.concatenate([y, extra_y])
-
-    lhs, rhs = _line_sides(sig, line, x, y)
-    rel = (lhs - rhs) / np.maximum(1.0, rhs)
-    return float(rel.max())
 
 
 # ---------------------------------------------------------------------------

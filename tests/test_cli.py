@@ -391,8 +391,8 @@ def test_triangle_sample_respects_dims(capsys):
 # ---------------------------------------------------------------------------
 
 def error_case_paths(tmp_path):
-    """The files an error case names: missing, malformed, unwritable, and
-    the r = 3 fixture tampered three ways."""
+    """The files an error case names: missing, malformed, unwritable, the
+    r = 3 fixture tampered three ways, and vectors with a non-numeric entry."""
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json", encoding="utf-8")
     paths = {
@@ -409,17 +409,26 @@ def error_case_paths(tmp_path):
         cert = json.loads((FIXTURES / "cert_r3.json").read_text())
         edit(cert)
         paths[name] = write_json(tmp_path / f"{name}.json", cert)
+    # a vector with a non-numeric entry, alone and as one of a pair
+    bad = {"r": 1, "components": [[{"a": 1}]]}
+    paths["non_numeric"] = write_json(tmp_path / "non_numeric.json", bad)
+    pair = {"X": bad, "Y": {"r": 1, "components": [[1.0]]}}
+    paths["non_numeric_pair"] = write_json(tmp_path / "non_numeric_pair.json", pair)
     return paths
 
 
 ERROR_CASES = [
     (["norm", "--in", "{missing}"], 2),
     (["norm", "--in", "{garbage}"], 2),
+    (["norm", "--in", "{non_numeric}"], 2),
+    (["norm", "--json", "--in", "{non_numeric}"], 2),
     (["dilate", "--t", "2", "--in", "{missing}"], 2),
     (["dilate", "--t", "2", "--in", "{garbage}"], 2),
+    (["dilate", "--t", "2", "--in", "{non_numeric}"], 2),
     (["triangle-sample"], 2),
     (["triangle-sample", "--in", "{missing}"], 2),
     (["triangle-sample", "--in", "{garbage}"], 2),
+    (["triangle-sample", "--in", "{non_numeric_pair}"], 2),
     (["triangle-sample", "--r", "3", "--seed", "-5"], 2),
     (["prove", "--r", "3", "--out", "{unwritable}"], 2),
     (["prove", "--r", "3", "--json", "--out", "{unwritable}"], 2),

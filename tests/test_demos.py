@@ -30,6 +30,13 @@ def test_homogeneity_demo_runs():
     run_demo("02_homogeneity_boundary.py")
 
 
+def test_orbits_and_shadows_demo_output_is_pinned():
+    # the r = 5 orbit and shadow ledger and a seeded Hölder-bound sweep
+    stdout = run_demo("03_orbits_and_shadows.py")
+    digest = hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+    assert digest == "f0da42e2d2797b2f0e9cef861861f6217fb78019fe0e9d1286d1d5fb6461df55"
+
+
 def test_counterexample_hunt_demo_output_is_pinned():
     # four 200k-sample hunts: a hunt that changes shows in the rounded
     # defect, evaluation count or argmax profiles the demo prints

@@ -10,7 +10,6 @@ from gradenorm.expansion import (
     lhs_orbits,
     orbit_exponents,
     orbit_table,
-    rhs_orbits,
     rhs_table,
     shadow,
     shadow_table,
@@ -70,19 +69,19 @@ def test_coefficient_ledger_row_sums(r):
 # ---------------------------------------------------------------------------
 
 def test_rhs_orbits_r5_coefficients():
-    orbits = rhs_orbits(GradingSignature(5))
-    assert [o.coefficient for o in orbits] == [10, 45, 120, 210, 252]
-    assert [o.is_middle for o in orbits] == [False, False, False, False, True]
+    orbits = rhs_table(GradingSignature(5))
+    assert [o["coefficient"] for o in orbits] == [10, 45, 120, 210, 252]
+    assert [o["is_middle"] for o in orbits] == [False, False, False, False, True]
 
 
 def test_rhs_orbits_r1():
-    (orbit,) = rhs_orbits(GradingSignature(1))
-    assert (orbit.k, orbit.coefficient, orbit.is_middle) == (1, 2, True)
+    (orbit,) = rhs_table(GradingSignature(1))
+    assert orbit == {"k": 1, "coefficient": 2, "is_middle": True, "exponents": [1, 1]}
 
 
 def test_rhs_orbit_r6_middle_coefficient():
-    orbits = rhs_orbits(GradingSignature(6))
-    assert orbits[-1].coefficient == binom(12, 6) == 924
+    orbits = rhs_table(GradingSignature(6))
+    assert orbits[-1]["coefficient"] == binom(12, 6) == 924
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,9 @@ def test_vector_json_round_trip():
         {"r": 2, "components": [[1.0]]},
         {"r": "2", "components": [[1.0], [2.0]]},
         [1, 2],
+        # numpy raises TypeError on these; outside input fails as ValueError
+        {"r": 1, "components": [[{"a": 1}]]},
+        {"r": 2, "components": [[1.0], [[2.0], [{}]]]},
     ],
 )
 def test_vector_json_rejects_malformed(payload):
@@ -434,6 +437,8 @@ def test_profile_json_round_trip():
 def test_profile_json_rejects_malformed():
     with pytest.raises(ValueError):
         profile_from_json({"r": 2, "a": [1.0]})
+    with pytest.raises(ValueError, match="must hold numbers"):
+        profile_from_json({"r": 2, "a": [1.0, {"a": 1}]})
 
 
 # ---------------------------------------------------------------------------

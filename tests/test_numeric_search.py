@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from gradenorm import numeric_search
-from gradenorm.certificate import CertificateLine, search_certificate
+from gradenorm.certificate import CertificateLine
 from gradenorm.graded_space import GradingSignature, ScalarProfile
 from gradenorm.numeric_search import (
     SearchConfig,
     SearchOutcome,
-    check_line_numeric,
     hunt,
     line_defect,
     scalar_defect,
@@ -452,6 +451,8 @@ def test_line_defect_equal_arguments_sign():
         expected = (56 - 120) * 2 * t**8
         assert line_defect(sig, line, t, t) == pytest.approx(expected, rel=1e-13)
         assert line_defect(sig, line, t, t) <= 0
+    # (3, 1, 3) fails majorization, so large x exposes a real violation
+    assert line_defect(sig, CertificateLine(3, 1, 3), 100.0, 1e-6) > 0
 
 
 def test_line_defect_boundary_is_zero():
@@ -459,26 +460,3 @@ def test_line_defect_boundary_is_zero():
     line = CertificateLine(2, 3, 3)
     assert line_defect(sig, line, 0.0, 5.0) == 0.0
     assert line_defect(sig, line, 5.0, 0.0) == 0.0
-
-
-@pytest.mark.parametrize("r", [2, 5, 8])
-def test_check_line_numeric_bounds_valid_lines(r):
-    sig = GradingSignature(r)
-    cert = search_certificate(sig)
-    cfg = SearchConfig(r=r, sample_count=10_000, rng_seed=42)
-    for line in cert.lines:
-        assert check_line_numeric(sig, line, cfg) <= cfg.tolerance
-
-
-def test_check_line_numeric_flags_bad_line():
-    # (3, 1, 3) fails majorization, so large x exposes a real violation
-    sig = GradingSignature(5)
-    cfg = SearchConfig(r=5, sample_count=10_000, rng_seed=0)
-    assert check_line_numeric(sig, CertificateLine(3, 1, 3), cfg) > 1.0
-
-
-def test_check_line_numeric_deterministic_per_line():
-    sig = GradingSignature(4)
-    cfg = SearchConfig(r=4, sample_count=5000, rng_seed=9)
-    line = CertificateLine(2, 2, 2)
-    assert check_line_numeric(sig, line, cfg) == check_line_numeric(sig, line, cfg)

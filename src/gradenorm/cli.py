@@ -218,7 +218,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
 
     samples = args.samples or SearchConfig.sample_count
     config = SearchConfig(r=args.r, sample_count=samples, rng_seed=args.seed)
-    outcome = hunt(config, threads=_threads())  # raises when the float kernel overflowed
+    outcome = hunt(config, threads=_threads())  # raises if no defect is finite
     if args.json:
         _emit(outcome.to_json())
     else:

@@ -34,7 +34,8 @@ from a nonzero profile), the norm is recomputed from the rescaled
 levels q_i = a_i^{e_i/2r} as max q * (sum_i (q_i / max q)^{2r})^{1/2r},
 the shift used for log-sum-exp (Blanchard, Higham & Higham, IMA J.
 Numer. Anal. 2021), which is finite for any finite level lengths. A
-level length beyond the double range raises ValueError.
+level length beyond the double range raises ValueError. The hunter's
+batch kernel rescales its out-of-range rows with the same function.
 
 All operations are pure functions over immutable values.
 """
@@ -174,7 +175,7 @@ def _norm(mags: list[float], exponents: tuple[int, ...]) -> float:
 
     For r = 1 this is a_1 itself, so the one-level norm stays bit-exact
     Euclidean. A power sum that is not a normal finite double goes to
-    ``_rescaled_norm``.
+    ``_rescaled_norms``.
     """
     two_r = exponents[0]
     if two_r == 2:
@@ -188,38 +189,31 @@ def _norm(mags: list[float], exponents: tuple[int, ...]) -> float:
         total = _INF
     if _TINY <= total < _INF:
         return total ** (1.0 / two_r)
-    return _rescaled_norm(mags, exponents)
+    if not all(a < _INF for a in mags):
+        raise ValueError("a level length exceeds the double range")
+    return float(_rescaled_norms(np.array([mags]), exponents)[0])
 
 
-def _rescaled_norm(mags: list[float], exponents: tuple[int, ...]) -> float:
-    """max q * (sum_i (q_i / max q)^{2r})^{1/2r} with q_i = a_i^{e_i/2r}.
+def _rescaled_norms(mags: np.ndarray, exponents: np.ndarray | Sequence[int]) -> np.ndarray:
+    """max q * (sum_i (q_i / max q)^{2r})^{1/2r} with q_i = a_i^{e_i/2r},
+    per row of an (N, r) block of finite level lengths.
 
     Each scaled term lies in [0, 1] and the largest is 1, so the sum
     neither overflows nor underflows. The result is finite: only q_1 = a_1
     can come near the largest double, and then every other term rounds
-    away against 1.
+    away against 1. ``a ** (e / 2r)`` would carry the rounding of e/2r
+    times |ln a|, about 2e-14 relative at a = 1e-200; splitting a = m 2^p
+    leaves that ratio to act on m in [0.5, 1) and on 2^{rem/2r} with
+    rem < 2r, while ldexp applies the integer part of p e / 2r exactly.
     """
-    if not all(a < _INF for a in mags):
-        raise ValueError("a level length exceeds the double range")
-    two_r = exponents[0]
-    q = [_fractional_power(a, e, two_r) for a, e in zip(mags, exponents)]
-    top = max(q)
-    if top == 0.0:
-        return 0.0
-    return top * sum([(v / top) ** two_r for v in q]) ** (1.0 / two_r)
-
-
-def _fractional_power(a: float, e: int, two_r: int) -> float:
-    """a^{e/2r} to a few ulp for any finite a >= 0.
-
-    ``a ** (e / two_r)`` would carry the rounding of e/2r times |ln a|,
-    about 2e-14 relative at a = 1e-200. Splitting a = m 2^p first leaves
-    that ratio to act on m in [0.5, 1) and on 2^{rem/2r} with rem < 2r,
-    while the integer part of p e / 2r is applied exactly by ldexp.
-    """
-    m, p = math.frexp(a)
-    n, rem = divmod(p * e, two_r)
-    return math.ldexp(m ** (e / two_r) * 2.0 ** (rem / two_r), n)
+    exps = np.asarray(exponents, dtype=float)
+    two_r = exps[0]
+    m, p = np.frexp(mags)
+    n, rem = np.divmod(p * exps, two_r)
+    q = np.ldexp(m ** (exps / two_r) * 2.0 ** (rem / two_r), n.astype(int))
+    top = q.max(axis=1)
+    scaled = q / np.where(top > 0.0, top, 1.0)[:, None]
+    return top * (scaled**two_r).sum(axis=1) ** (1.0 / two_r)
 
 
 def scalar_norm(a: ScalarProfile) -> float:
@@ -287,11 +281,13 @@ def random_vector(
 # ---------------------------------------------------------------------------
 
 def _floats(values: Any, key: str) -> np.ndarray:
-    """``values`` as a float array; a non-numeric entry is a ValueError."""
-    try:
-        return np.asarray(values, dtype=float)
-    except TypeError as exc:
-        raise ValueError(f"{key} must hold numbers: {exc}") from None
+    """A JSON list of numbers as a float array; anything else, strings,
+    booleans and null included, is a ValueError."""
+    if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
+        raise ValueError(f"{key} must hold numbers")
+    if not all(abs(v) <= sys.float_info.max for v in values):  # exact for ints; false for NaN
+        raise ValueError(f"{key} must hold numbers in the double range")
+    return np.array(values, dtype=float)
 
 
 def vector_to_json(x: GradedVector) -> dict:

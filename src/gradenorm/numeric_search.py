@@ -41,6 +41,7 @@ import numpy as np
 from .certificate import CertificateLine
 from .exactmath import GradingSignature, binom
 from .expansion import shadow
+from .graded_space import _TINY, _rescaled_norms
 from .graded_space import ScalarProfile, profile_from_json, profile_to_json, scalar_norm
 
 __all__ = [
@@ -59,6 +60,7 @@ _GRID_POINT_CAP = 100_000
 _CHUNK_ROWS = 200_000
 _BLOCK_ROWS = 4096
 _ASCENT_CANDIDATES = 8
+_ASCENT_STEP_SIZE = 0.25
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,6 @@ class SearchConfig:
     sample_count: int = 1_000_000
     grid_resolution: int = 3
     ascent_steps: int = 200
-    ascent_step_size: float = 0.25
     rng_seed: int = 0
     tolerance: float = 1e-12
 
@@ -76,8 +77,8 @@ class SearchConfig:
         for name in ("sample_count", "grid_resolution", "ascent_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.ascent_step_size <= 0 or self.tolerance <= 0:
-            raise ValueError("ascent_step_size and tolerance must be positive")
+        if self.tolerance <= 0:
+            raise ValueError("tolerance must be positive")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be nonnegative, got {self.rng_seed}")
 
@@ -112,32 +113,42 @@ class SearchOutcome:
         )
 
 
-def _batch_norms(exponents: np.ndarray, mags: np.ndarray) -> np.ndarray:
-    """Scalar norms of an (N, r) block of profiles.
+@np.errstate(over="ignore")
+def _batch_norms(exponents: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
+    """Scalar norms of (N, r) blocks of profiles, one result row per block.
 
-    Below 8 columns numpy sums a row left to right, so the power sum is
-    built column by column in that order: the same bits, without a
-    numpy reduction loop per row. From 8 columns on numpy sums
-    pairwise, and ``sum(axis=1)`` is kept.
+    The powers of all blocks fill one array, so the sum below and the
+    range check run once per call. Below 8 columns numpy sums a row left
+    to right, so the power sum is built column by column in that order:
+    the same bits, without a numpy reduction loop per row. From 8
+    columns on numpy sums pairwise, and ``sum`` along each row is kept. A
+    row whose power sum is not a normal finite double (from r = 47 on,
+    1e3 ** 2r overflows) goes to ``_rescaled_norms``.
     """
     r = exponents.shape[0]
     if r == 1:
         # (a^2)^(1/2) is the magnitude itself; keep it bit-exact
-        return mags[:, 0].copy()
-    powers = np.power(mags, exponents[None, :])
+        return np.stack([mags[:, 0] for mags in blocks])
+    powers = np.empty((len(blocks),) + blocks[0].shape)
+    for out, mags in zip(powers, blocks):
+        np.power(mags, exponents, out=out)
     if r < 8:
-        total = powers[:, 0] + powers[:, 1]
+        totals = powers[..., 0] + powers[..., 1]
         for j in range(2, r):
-            total += powers[:, j]
+            totals += powers[..., j]
     else:
-        total = powers.sum(axis=1)
-    return np.power(total, 1.0 / (2 * r), out=total)
+        totals = powers.sum(axis=-1)
+    if _TINY <= totals.min() and totals.max() < np.inf:
+        return np.power(totals, 1.0 / (2 * r), out=totals)
+    rescale = ~((totals >= _TINY) & (totals < np.inf))
+    norms = np.power(totals, 1.0 / (2 * r), out=totals)
+    for row, mags, rows in zip(norms, blocks, rescale):
+        row[rows] = _rescaled_norms(mags[rows], exponents)
+    return norms
 
 
 def _batch_defects(exponents: np.ndarray, a: np.ndarray, b: np.ndarray):
-    na = _batch_norms(exponents, a)
-    nb = _batch_norms(exponents, b)
-    nsum = _batch_norms(exponents, a + b)
+    na, nb, nsum = _batch_norms(exponents, a, b, a + b)
     defect = nsum - na - nb
     rel = defect / np.maximum(1.0, na + nb)
     return defect, rel
@@ -174,9 +185,12 @@ def _grid_lattice(r: int, resolution: int, rng: np.random.Generator):
     points."""
     width = 2 * r
     if resolution**width <= _GRID_POINT_CAP:
-        # row k is the k-th tuple of product(range(resolution), repeat=width)
-        levels = np.indices((resolution,) * width).reshape(width, -1).T
-        return levels, np.linspace(0.0, 1.0, resolution)
+        # row k is the k-th tuple of product(range(resolution), repeat=width),
+        # as from np.indices, which allows only 64 dimensions
+        levels = np.empty((width, resolution**width), dtype=np.intp)
+        for j, digit in enumerate(levels):
+            digit.reshape(resolution**j, resolution, -1)[...] = np.arange(resolution)[:, None]
+        return levels.T, np.linspace(0.0, 1.0, resolution)
     levels = rng.integers(0, resolution, size=(_GRID_POINT_CAP, width))
     # k / (resolution - 1), the bits of dividing the whole level array
     return levels, np.arange(resolution) / (resolution - 1)
@@ -280,9 +294,9 @@ def hunt(config: SearchConfig, threads: int = 1) -> SearchOutcome:
 
     Stages: rescaled lattice, seeded random sweep (chunked, across
     ``threads`` workers), then coordinate ascent from the best
-    candidates. Ascent never leaves the nonnegative orthant. Raises
-    ``ValueError`` when the best defect or relative defect is not finite:
-    the float kernel overflowed, and an infinite defect is no violation.
+    candidates. Ascent never leaves the nonnegative orthant. The kernel
+    rescales power sums outside the double range, so the defects are
+    finite for every ``r``; were the best not, ``ValueError`` is raised.
 
     The lattice's integer levels are drawn whole; their float values and
     log-uniform scales are made per block of _BLOCK_ROWS rows, in the
@@ -291,9 +305,7 @@ def hunt(config: SearchConfig, threads: int = 1) -> SearchOutcome:
     from a second generator on the same seed, advanced past a's
     rows * r doubles (``_sweep_blocks``). Each block is scanned on its
     own and the block bests merge first-best, which picks the row one
-    argmax over the whole chunk would pick. Only a NaN defect, which
-    needs an overflowing kernel, tells them apart: it drops its block
-    from the ranking, where a whole-chunk argmax dropped the chunk.
+    argmax over the whole chunk would pick.
     """
     sig = GradingSignature(config.r)
     exps = np.asarray(sig.exponents, dtype=float)
@@ -303,59 +315,49 @@ def hunt(config: SearchConfig, threads: int = 1) -> SearchOutcome:
     evaluated = 0
     candidates: list[_Best] = []
 
-    # an overflowing kernel warns on every block; the check at the end
-    # turns a non-finite best into one error instead
-    with np.errstate(over="ignore", invalid="ignore"):
-        # stage 1: lattice rescaled by log-uniform magnitudes
-        grid_rng = np.random.default_rng(grid_ss)
-        levels, values = _grid_lattice(config.r, config.grid_resolution, grid_rng)
-        scales = _log_uniform_blocks(grid_rng, levels.shape[0], 2 * config.r)
-        grid_best = _Best()
-        for start, scale in zip(range(0, levels.shape[0], _BLOCK_ROWS), scales):
-            pts = values[levels[start : start + _BLOCK_ROWS]]
-            pts *= scale
-            _scan_block(exps, pts[:, : config.r], pts[:, config.r :], grid_best)
-        evaluated += levels.shape[0]
-        candidates.append(grid_best)
+    # stage 1: lattice rescaled by log-uniform magnitudes
+    grid_rng = np.random.default_rng(grid_ss)
+    levels, values = _grid_lattice(config.r, config.grid_resolution, grid_rng)
+    scales = _log_uniform_blocks(grid_rng, levels.shape[0], 2 * config.r)
+    grid_best = _Best()
+    for start, scale in zip(range(0, levels.shape[0], _BLOCK_ROWS), scales):
+        pts = values[levels[start : start + _BLOCK_ROWS]]
+        pts *= scale
+        _scan_block(exps, pts[:, : config.r], pts[:, config.r :], grid_best)
+    evaluated += levels.shape[0]
+    candidates.append(grid_best)
 
-        # stage 2: random sweep in fixed chunks so thread count is irrelevant
-        n_chunks = (config.sample_count + _CHUNK_ROWS - 1) // _CHUNK_ROWS
-        chunk_seeds = sweep_ss.spawn(n_chunks)
+    # stage 2: random sweep in fixed chunks so thread count is irrelevant
+    n_chunks = (config.sample_count + _CHUNK_ROWS - 1) // _CHUNK_ROWS
+    chunk_seeds = sweep_ss.spawn(n_chunks)
 
-        def run_chunk(index: int) -> _Best:
-            rows = min(_CHUNK_ROWS, config.sample_count - index * _CHUNK_ROWS)
-            best = _Best()
-            # errstate is context-local: a pool worker does not inherit it
-            with np.errstate(over="ignore", invalid="ignore"):
-                for a, b in _sweep_blocks(chunk_seeds[index], rows, config.r):
-                    _scan_block(exps, a, b, best)
-            return best
+    def run_chunk(index: int) -> _Best:
+        rows = min(_CHUNK_ROWS, config.sample_count - index * _CHUNK_ROWS)
+        best = _Best()
+        for a, b in _sweep_blocks(chunk_seeds[index], rows, config.r):
+            _scan_block(exps, a, b, best)
+        return best
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            candidates.extend(pool.map(run_chunk, range(n_chunks)))
-        evaluated += config.sample_count
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        candidates.extend(pool.map(run_chunk, range(n_chunks)))
+    evaluated += config.sample_count
 
-        # stage 3: refine the top candidates
-        ranked = sorted(
-            (c for c in candidates if c.a is not None),
-            key=lambda c: -c.rel,
-        )[:_ASCENT_CANDIDATES]
-        overall = _Best()
-        for c in ranked:
-            overall.offer(c.rel, c.raw, c.a, c.b)
-        for c in ranked:
-            a, b, rel, evals = _ascend(
-                exps, c.a, c.b, config.ascent_steps, config.ascent_step_size
-            )
-            evaluated += evals
-            defect, _ = _batch_defects(exps, a[None, :], b[None, :])
-            overall.offer(rel, float(defect[0]), a, b)
+    # stage 3: refine the top candidates
+    ranked = sorted(
+        (c for c in candidates if c.a is not None),
+        key=lambda c: -c.rel,
+    )[:_ASCENT_CANDIDATES]
+    overall = _Best()
+    for c in ranked:
+        overall.offer(c.rel, c.raw, c.a, c.b)
+    for c in ranked:
+        a, b, rel, evals = _ascend(exps, c.a, c.b, config.ascent_steps, _ASCENT_STEP_SIZE)
+        evaluated += evals
+        defect, _ = _batch_defects(exps, a[None, :], b[None, :])
+        overall.offer(rel, float(defect[0]), a, b)
 
     if not np.isfinite([overall.raw, overall.rel]).all():
-        raise ValueError(
-            f"the float kernel overflowed at r={config.r}: max defect {overall.raw}, "
-            f"max relative defect {overall.rel}"
-        )
+        raise ValueError(f"the hunt at r={config.r} found no finite defect")
     argmax = (ScalarProfile(sig, overall.a), ScalarProfile(sig, overall.b))
     return SearchOutcome(
         max_defect=overall.raw,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gradenorm.certificate as certificate_mod
+from gradenorm import numeric_search
 from gradenorm.cli import main
 from gradenorm.graded_space import (
     GradingSignature,
@@ -194,13 +195,17 @@ def test_hunt_rejects_negative_seed(capsys):
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"]])
-def test_hunt_non_finite_defect_is_an_error_not_a_violation(capsys, mode):
-    # at r = 47 the power sums overflow, and the hunt's best defect is inf
-    with np.errstate(all="ignore"):
-        code, stdout, err = run(capsys, "hunt", "--r", "47", "--samples", "20000", *mode)
+def test_hunt_non_finite_defect_is_an_error_not_a_violation(capsys, monkeypatch, mode):
+    # a kernel whose every row is NaN leaves the hunt no finite defect
+    def nan_norms(exponents, *blocks):
+        return np.full((len(blocks), blocks[0].shape[0]), np.nan)
+
+    monkeypatch.setattr(numeric_search, "_batch_norms", nan_norms)
+    code, stdout, err = run(capsys, "hunt", "--r", "47", "--samples", "20000", *mode)
     assert code == 2
     assert stdout == ""
-    assert err.startswith("error:") and "overflowed at r=47" in err
+    assert err.startswith("error:") and "at r=47 found no finite defect" in err
+    assert err.count("\n") == 1
     assert "Infinity" not in err
 
 
@@ -214,17 +219,25 @@ def test_hunt_non_finite_defect_is_an_error_not_a_violation(capsys, mode):
         ("47", ["--json"], None),
     ],
 )
-def test_hunt_overflow_is_one_error_line_without_warnings(capsys, monkeypatch, r, mode, threads):
-    # at r = 52 every row of the float kernel is NaN; nothing may warn,
-    # in the main thread or in a pool worker
+def test_hunt_where_power_sums_overflow_exits_0_without_warnings(
+    capsys, monkeypatch, r, mode, threads
+):
+    # from r = 47 on, 1e3 ** 2r leaves the double range; the kernel
+    # rescales those rows, and nothing may warn, in the main thread or
+    # in a pool worker
     if threads is not None:
         monkeypatch.setenv("GRADENORM_THREADS", threads)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, stdout, err = run(capsys, "hunt", "--r", r, "--samples", "20000", *mode)
-    assert (code, stdout) == (2, "")
-    assert err.startswith(f"error: the float kernel overflowed at r={r}")
-    assert err.count("\n") == 1 and err.endswith("\n")
+    assert (code, err) == (0, "")
+    if mode:
+        payload = strict_json(stdout)
+        assert payload["r"] == int(r)
+        assert payload["violation_found"] is False
+        assert payload["max_relative_defect"] <= 1e-12
+    else:
+        assert "no violation" in stdout
 
 
 def test_hunt_threads_env_does_not_change_outcome(capsys, monkeypatch):
@@ -392,7 +405,8 @@ def test_triangle_sample_respects_dims(capsys):
 
 def error_case_paths(tmp_path):
     """The files an error case names: missing, malformed, unwritable, the
-    r = 3 fixture tampered three ways, and vectors with a non-numeric entry."""
+    r = 3 fixture tampered three ways, and vectors with an entry that is
+    not a JSON number."""
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json", encoding="utf-8")
     paths = {
@@ -414,6 +428,9 @@ def error_case_paths(tmp_path):
     paths["non_numeric"] = write_json(tmp_path / "non_numeric.json", bad)
     pair = {"X": bad, "Y": {"r": 1, "components": [[1.0]]}}
     paths["non_numeric_pair"] = write_json(tmp_path / "non_numeric_pair.json", pair)
+    # JSON values that numpy would convert to floats
+    for name, entry in (("string", "1.5"), ("boolean", True), ("null", None)):
+        paths[name] = write_json(tmp_path / f"{name}.json", {"r": 1, "components": [[entry]]})
     return paths
 
 
@@ -422,9 +439,14 @@ ERROR_CASES = [
     (["norm", "--in", "{garbage}"], 2),
     (["norm", "--in", "{non_numeric}"], 2),
     (["norm", "--json", "--in", "{non_numeric}"], 2),
+    (["norm", "--in", "{string}"], 2),
+    (["norm", "--json", "--in", "{boolean}"], 2),
+    (["norm", "--in", "{null}"], 2),
     (["dilate", "--t", "2", "--in", "{missing}"], 2),
     (["dilate", "--t", "2", "--in", "{garbage}"], 2),
     (["dilate", "--t", "2", "--in", "{non_numeric}"], 2),
+    (["dilate", "--t", "2", "--in", "{string}"], 2),
+    (["dilate", "--t", "2", "--in", "{null}"], 2),
     (["triangle-sample"], 2),
     (["triangle-sample", "--in", "{missing}"], 2),
     (["triangle-sample", "--in", "{garbage}"], 2),

@@ -434,6 +434,25 @@ def test_profile_json_round_trip():
     assert profile_to_json(p) == {"r": 3, "a": [0.5, 2.0, 0.0]}
 
 
+@pytest.mark.parametrize(
+    "entry", ["1.5", True, None, [1.0], {"a": 1}, 10**400, float("inf"), float("nan")]
+)
+def test_json_parsers_accept_numbers_only(entry):
+    # numpy converts "1.5", true and null to floats; the wire formats do not
+    with pytest.raises(ValueError, match="must hold numbers"):
+        vector_from_json({"r": 1, "components": [[entry]]})
+    with pytest.raises(ValueError, match="must hold numbers"):
+        vector_from_json({"r": 2, "components": [[1.0], [2.0, entry]]})
+    with pytest.raises(ValueError, match="must hold numbers"):
+        profile_from_json({"r": 2, "a": [1.0, entry]})
+
+
+def test_json_parsers_accept_ints_and_floats():
+    x = vector_from_json({"r": 2, "components": [[1, 2.5], [-3]]})
+    assert [c.tolist() for c in x.components] == [[1.0, 2.5], [-3.0]]
+    assert profile_from_json({"r": 2, "a": [0, 1.5]}).magnitudes.tolist() == [0.0, 1.5]
+
+
 def test_profile_json_rejects_malformed():
     with pytest.raises(ValueError):
         profile_from_json({"r": 2, "a": [1.0]})

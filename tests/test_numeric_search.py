@@ -99,10 +99,26 @@ def test_hunt_finds_no_violation_for_proved_lengths(r):
     assert out.samples_evaluated >= SMALL["sample_count"]
 
 
+@pytest.mark.parametrize("r", [47, 52, 60])
+def test_hunt_defect_is_finite_where_power_sums_overflow(r):
+    # from r = 47 on, 1e3 ** 2r leaves the double range; the kernel
+    # rescales those rows, and nothing may warn (RuntimeWarning is an
+    # error in this suite)
+    out = hunt(SearchConfig(r, 20000))
+    assert np.isfinite(out.max_defect)
+    assert out.max_relative_defect <= 1e-12
+    assert not out.violation_found
+
+
 @pytest.mark.parametrize("r", [47, 52])
-def test_hunt_raises_when_the_float_kernel_overflows(r):
-    # the best defect is inf at r = 47; at r = 52 every row is NaN
-    with pytest.raises(ValueError, match=f"overflowed at r={r}"):
+def test_hunt_raises_when_the_float_kernel_overflows(r, monkeypatch):
+    # a kernel whose every row is NaN, as the unscaled one's were at
+    # r = 52, leaves no finite defect; that is an error, not a violation
+    def nan_norms(exponents, *blocks):
+        return np.full((len(blocks), blocks[0].shape[0]), np.nan)
+
+    monkeypatch.setattr(numeric_search, "_batch_norms", nan_norms)
+    with pytest.raises(ValueError, match=f"at r={r} found no finite defect"):
         hunt(SearchConfig(r, 20000))
 
 
@@ -326,6 +342,19 @@ def test_grid_points_match_itertools_product():
         assert np.array_equal(got, want), (resolution, r)
 
 
+@pytest.mark.parametrize("r", [32, 100])
+def test_one_point_lattice_beyond_64_dimensions(r):
+    # np.indices allows at most 64 dimensions; this lattice has 2r. Its
+    # one point is the zero profile pair, whose power sums are 0
+    levels, values = numeric_search._grid_lattice(r, 1, np.random.default_rng(0))
+    assert levels.shape == (1, 2 * r) and not levels.any()
+    assert values.tolist() == [0.0]
+    out = hunt(SearchConfig(r, 2000, grid_resolution=1, ascent_steps=20))
+    assert out.samples_evaluated > 2000
+    assert np.isfinite(out.max_defect) and out.max_relative_defect <= 1e-12
+    assert not out.violation_found
+
+
 # ---------------------------------------------------------------------------
 # block-wise kernel and draws against their whole-array forms
 # ---------------------------------------------------------------------------
@@ -352,17 +381,39 @@ def norm_inputs(exps):
     return np.concatenate(rows)
 
 
+def decimal_norm(row, exps):
+    """(sum_i a_i^{e_i})^{1/2r} of one row in 30-digit decimal arithmetic.
+
+    Terms below 2^-128 times the largest are left out: together they are
+    less than r 2^-128 of the sum, far below the 1e-15 that is checked.
+    """
+    with np.errstate(divide="ignore"):
+        logs = exps * np.log2(row)
+    keep = logs >= logs.max() - 128
+    with decimal.localcontext(decimal.Context(prec=30)):
+        terms = zip(row[keep].tolist(), exps[keep].astype(int).tolist())
+        total = sum(+decimal.Decimal(a) ** e for a, e in terms)
+        return (total.ln() / int(exps[0])).exp() if total else total
+
+
 @pytest.mark.parametrize("r", range(1, 131))
 def test_batch_norms_matches_the_row_sum_form(r):
+    # rows whose power sum is a normal double keep the row-sum bits; the
+    # others are rescaled and agree with a decimal reference
     exps = np.asarray(GradingSignature(r).exponents, dtype=float)
     mags = norm_inputs(exps)
-    with np.errstate(over="ignore", under="ignore"):
-        got = numeric_search._batch_norms(exps, mags)
-        if r == 1:
-            want = mags[:, 0]  # the magnitude itself, not (a^2)^(1/2)
-        else:
-            want = np.power(mags, exps[None, :]).sum(axis=1) ** (1.0 / (2 * r))
-    assert got.tobytes() == want.tobytes()
+    (got,) = numeric_search._batch_norms(exps, mags)
+    if r == 1:
+        assert got.tobytes() == mags[:, 0].tobytes()  # not (a^2)^(1/2)
+        return
+    with np.errstate(over="ignore"):
+        total = np.power(mags, exps[None, :]).sum(axis=1)
+    normal = (total >= np.finfo(float).tiny) & (total < np.inf)
+    assert got[normal].tobytes() == (total[normal] ** (1.0 / (2 * r))).tobytes()
+    assert (~normal).any()
+    for value, row in zip(got[~normal], mags[~normal]):
+        want = decimal_norm(row, exps)
+        assert abs(decimal.Decimal(value) - want) <= decimal.Decimal("1e-15") * want
 
 
 def whole_log_uniform(rng, shape):

@@ -43,10 +43,14 @@ exponent multiplied by 2r: the shadow becomes (e_i (2r - k), e_i k)
 integer pairs, and scaling both pairs by the same positive factor
 changes neither their sums nor which leading exponent is larger, so
 this is the definition of majorization itself (``exactmath.majorizes``),
-not a lemma about the builder. Orbits come from ``expansion`` too, and
-``"p/q"`` strings from ``exactmath.ratio_to_str``, so no ``Fraction`` is
-built. The builder is untrusted by design: whatever it returns is
-re-checked. It targets each orbit at k = floor(n s / e) with n = 2r and
+not a lemma about the builder. Orbits come from ``expansion`` too, so
+no ``Fraction`` is built. ``check_line`` takes the binomials of (a) from
+``binom``; ``check_certificate`` and the report take them from one row
+of C(2r, k) per call and one row of C(e_i, s) per level, built by the
+exact recurrence C(n, s+1) = C(n, s)(n - s)/(s + 1), so no table
+outlives a call. Both make the same comparisons, in one line predicate.
+The builder is untrusted by design: whatever it returns is re-checked.
+It targets each orbit at k = floor(n s / e) with n = 2r and
 e = e_i <= n. That k passes (a): k >= s and n - k >= n (e - s) / e >=
 e - s, and C(x + y, x) grows in both x and y, so C(e, s) =
 C(s + (e - s), s) <= C(k + (n - k), k) = C(n, k). It passes (b),
@@ -63,10 +67,11 @@ coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
+from math import gcd
+from operator import attrgetter
 from typing import Any
 
-from .exactmath import GradingSignature, binom, ratio_to_str
+from .exactmath import GradingSignature, binom
 from .expansion import orbit_triples, scaled_shadow
 
 # The rational-exponent definitions the checker reproduces in integers.
@@ -98,6 +103,8 @@ REASON_SLOT_CONFLICT = "slot_conflict"
 REASON_INCOMPLETE = "incomplete"
 REASON_MIDDLE_MISMATCH = "middle_mismatch"
 
+_FIELDS = ("level", "split", "target")
+
 REASONS = (
     REASON_COEFFICIENT,
     REASON_MAJORIZATION,
@@ -123,7 +130,10 @@ class CertificateLine:
     target: int
 
     def __post_init__(self) -> None:
-        for name in ("level", "split", "target"):
+        i, s, k = self.level, self.split, self.target
+        if type(i) is int and type(s) is int and type(k) is int and i > 0 and s > 0 and k > 0:
+            return
+        for name in _FIELDS:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
@@ -166,6 +176,31 @@ class CheckReport:
         }
 
 
+def _binom_row(n: int, top: int) -> list[int]:
+    """C(n, 0..top) by C(n, s+1) = C(n, s)(n-s)/(s+1); every division is exact."""
+    row = [1] * (top + 1)
+    for s in range(top):
+        row[s + 1] = row[s] * (n - s) // (s + 1)
+    return row
+
+
+def _line_reason(r: int, e: int, s: int, k: int, c_orbit: int, c_slot: int) -> str | None:
+    """The one line formula: the tests of an in-range line (i, s, k), with
+    e = e_i, c_orbit = C(e, s) and c_slot = C(2r, k)."""
+    if k == r and s != e // 2:
+        # a symmetric pair cannot be charged to the single middle monomial
+        return REASON_MIDDLE_MISMATCH
+    if c_orbit > c_slot:
+        return REASON_COEFFICIENT
+    two_r = 2 * r
+    hi, lo = scaled_shadow(two_r, e, k)
+    # the orbit scaled by 2r; s <= e/2, so orbit_hi is its larger exponent
+    orbit_hi, orbit_lo = two_r * (e - s), two_r * s
+    if hi + lo != orbit_hi + orbit_lo or max(hi, lo) < orbit_hi:
+        return REASON_MAJORIZATION
+    return None
+
+
 def check_line(sig: GradingSignature, line: CertificateLine) -> str | None:
     """None when the line is admissible, otherwise the violation reason.
 
@@ -174,63 +209,71 @@ def check_line(sig: GradingSignature, line: CertificateLine) -> str | None:
     Out-of-range indices are a domain error.
     """
     e = sig.exponent(line.level)  # raises on an out-of-range level
-    two_r, s, k = 2 * sig.r, line.split, line.target
+    s, k = line.split, line.target
     if not 1 <= s <= e // 2:
         raise ValueError(f"split {s} out of range for level {line.level} (e={e})")
     if not 1 <= k <= sig.r:
         raise ValueError(f"target {k} out of range for r={sig.r}")
-    if s != e // 2 and k == sig.r:
-        # a symmetric pair cannot be charged to the single middle monomial
-        return REASON_MIDDLE_MISMATCH
-    if binom(e, s) > binom(two_r, k):
-        return REASON_COEFFICIENT
-    shade = scaled_shadow(two_r, e, k)
-    orbit = (two_r * (e - s), two_r * s)
-    if sum(shade) != sum(orbit) or max(shade) < max(orbit):
-        return REASON_MAJORIZATION
-    return None
+    return _line_reason(sig.r, e, s, k, binom(e, s), binom(2 * sig.r, k))
 
 
 def check_certificate(sig: GradingSignature, cert: Certificate) -> CheckReport:
     """Validate completeness, slot discipline, and every line.
 
     A valid report means the certificate is a sound proof of the scalar
-    triangle inequality for this length (see the module docstring). A
-    line with an out-of-range index raises ``ValueError`` from
-    ``check_line``, as does a certificate for another length.
+    triangle inequality for this length (see the module docstring). The
+    first out-of-range line raises ``ValueError`` from ``check_line``, as
+    does a certificate for another length. Violations are listed as
+    duplicates, missing orbits, slot conflicts, then per line in order.
     """
-    if cert.r != sig.r:
-        raise ValueError(f"certificate is for r={cert.r}, signature has r={sig.r}")
+    r, exponents, lines = sig.r, sig.exponents, cert.lines
+    if cert.r != r:
+        raise ValueError(f"certificate is for r={cert.r}, signature has r={r}")
+    levels, splits, targets = (list(map(attrgetter(f), lines)) for f in _FIELDS)
+    # the first line with an index out of range; s <= e_i // 2 is s <= r + 1 - i
+    for line, i, s, k in zip(lines, levels, splits, targets):
+        if not (1 <= i <= r and 1 <= s <= r + 1 - i and 1 <= k <= r):
+            check_line(sig, line)  # raises
 
-    violations: list[Violation] = []
+    # sets as long as the lines mean that no orbit and no slot repeats
+    seen_orbits = set(zip(levels, splits))
+    duplicates, conflicts = [], []
+    if len(seen_orbits) < len(lines) or len(set(zip(targets, levels))) < len(lines):
+        orbits, slots = set(), set()
+        for line, i, s, k in zip(lines, levels, splits, targets):
+            if (i, s) in orbits:
+                detail = f"duplicate line for orbit (i={i}, s={s})"
+                duplicates.append(Violation(line, REASON_INCOMPLETE, detail))
+            if (k, i) in slots:
+                detail = f"slot (k={k}, i={i}) already spent"
+                conflicts.append(Violation(line, REASON_SLOT_CONFLICT, detail))
+            orbits.add((i, s))
+            slots.add((k, i))
+    missing = []
+    if len(seen_orbits) < r * (r + 1) // 2:  # every line is in range here
+        for i, _, s in orbit_triples(sig):
+            if (i, s) not in seen_orbits:
+                detail = f"orbit (i={i}, s={s}) has no line"
+                missing.append(Violation(None, REASON_INCOMPLETE, detail))
 
-    seen_orbits: dict[tuple[int, int], CertificateLine] = {}
-    for line in cert.lines:
-        key = (line.level, line.split)
-        if key in seen_orbits:
-            detail = f"duplicate line for orbit (i={key[0]}, s={key[1]})"
-            violations.append(Violation(line, REASON_INCOMPLETE, detail))
-        else:
-            seen_orbits[key] = line
-    for i, _, s in orbit_triples(sig):
-        if (i, s) not in seen_orbits:
-            detail = f"orbit (i={i}, s={s}) has no line"
-            violations.append(Violation(None, REASON_INCOMPLETE, detail))
-
-    seen_slots: set[tuple[int, int]] = set()
-    for line in cert.lines:
-        slot = (line.target, line.level)
-        if slot in seen_slots:
-            detail = f"slot (k={line.target}, i={line.level}) already spent"
-            violations.append(Violation(line, REASON_SLOT_CONFLICT, detail))
-        else:
-            seen_slots.add(slot)
-
-    for line in cert.lines:
-        reason = check_line(sig, line)
+    # each line level by level, with one row of C(e_i, s) alive at a time
+    c_slots = _binom_row(2 * r, r)
+    failed = {}
+    level = 0
+    triples = zip(levels, splits, targets)
+    for i, s, k in triples if levels == sorted(levels) else sorted(triples):
+        if i != level:
+            level, e = i, exponents[i - 1]
+            c_orbits = _binom_row(e, e // 2)
+        reason = _line_reason(r, e, s, k, c_orbits[s], c_slots[k])
         if reason is not None:
-            violations.append(Violation(line, reason))
-
+            failed[i, s, k] = reason
+    per_line = []
+    if failed:
+        for line, key in zip(lines, zip(levels, splits, targets)):
+            if key in failed:
+                per_line.append(Violation(line, failed[key]))
+    violations = duplicates + missing + conflicts + per_line
     return CheckReport(valid=not violations, violations=tuple(violations))
 
 
@@ -257,15 +300,14 @@ def search_certificate(sig: GradingSignature) -> Certificate:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _pow(base: str, exp) -> str:
-    return base if exp == 1 else f"{base}^{exp}"
-
-
 def _symmetric_display(c: int, a: str, b: str, hi: int, lo: int) -> str:
-    """c (a^hi b^lo + a^lo b^hi), or the single c a^hi b^lo when hi = lo."""
+    """c (a^hi b^lo + a^lo b^hi), or the single c a^hi b^lo when hi = lo,
+    for hi >= lo >= 1; an exponent 1 is not written."""
     if hi == lo:
-        return f"{c} {_pow(a, hi)} {_pow(b, lo)}"
-    return f"{c}({_pow(a, hi)} {_pow(b, lo)} + {_pow(a, lo)} {_pow(b, hi)})"
+        return f"{c} {a} {b}" if hi == 1 else f"{c} {a}^{hi} {b}^{hi}"
+    if lo == 1:
+        return f"{c}({a}^{hi} {b} + {a} {b}^{hi})"
+    return f"{c}({a}^{hi} {b}^{lo} + {a}^{lo} {b}^{hi})"
 
 
 @dataclass(frozen=True)
@@ -315,38 +357,37 @@ def certificate_to_report(sig: GradingSignature, cert: Certificate) -> ProofRepo
         reasons = ", ".join(sorted({v.reason for v in report.violations}))
         raise InvalidCertificateError(f"certificate does not validate ({reasons})")
 
-    # a valid certificate spends each slot (k, i) once, so this order is total
-    ordered = sorted(cert.lines, key=lambda ln: (ln.target, ln.level))
-    two_r = 2 * sig.r
+    r, exponents = sig.r, sig.exponents
+    two_r = 2 * r
+    # each line's JSON row and display term, filed under its target k,
+    # level by level; a valid certificate spends each slot (k, i) once
+    rows_at = [[] for _ in range(r + 1)]
+    terms_at = [[] for _ in range(r + 1)]
+    level = 0
+    for line in sorted(cert.lines, key=attrgetter("level")):
+        i, s, k = line.level, line.split, line.target
+        if i != level:
+            level, e = i, exponents[i - 1]
+            c_orbits = _binom_row(e, e // 2)
+            a, b = f"a{i}", f"b{i}"
+        c = c_orbits[s]
+        # ``ratio_to_str``'s format over 2r; hi + lo = 2r e, so one gcd serves both
+        hi, lo = scaled_shadow(two_r, e, k)
+        g = gcd(lo, two_r)
+        den, hi, lo = two_r // g, hi // g, lo // g
+        sh = [str(hi), str(lo)] if den == 1 else [f"{hi}/{den}", f"{lo}/{den}"]
+        row = dict(i=i, s=s, coefficient=c, orbit_exponents=[e - s, s], shadow_exponents=sh)
+        rows_at[k].append(row)
+        terms_at[k].append(_symmetric_display(c, a, b, e - s, s))
+
+    c_slots = _binom_row(two_r, r)
     groups = []
-    for k, lines in groupby(ordered, key=lambda ln: ln.target):
-        rows, terms = [], []
-        for ln in lines:
-            i, s, e = ln.level, ln.split, sig.exponent(ln.level)
-            c = binom(e, s)
-            hi, lo = scaled_shadow(two_r, e, k)
-            rows.append(
-                {
-                    "i": i,
-                    "s": s,
-                    "coefficient": c,
-                    "orbit_exponents": [e - s, s],
-                    "shadow_exponents": [ratio_to_str(hi, two_r), ratio_to_str(lo, two_r)],
-                }
-            )
-            terms.append(_symmetric_display(c, f"a{i}", f"b{i}", e - s, s))
-        rhs_coefficient = binom(two_r, k)
-        rhs = _symmetric_display(rhs_coefficient, "A", "B", two_r - k, k)
-        groups.append(
-            ReportGroup(
-                k=k,
-                rhs_coefficient=rhs_coefficient,
-                is_middle=(k == sig.r),
-                display=f"[k={k}]  {' + '.join(terms)} <= {rhs}",
-                lines=tuple(rows),
-            )
-        )
-    return ProofReport(r=sig.r, groups=tuple(groups))
+    for k in range(1, r + 1):
+        if rows_at[k]:
+            rhs = _symmetric_display(c_slots[k], "A", "B", two_r - k, k)
+            display = f"[k={k}]  {' + '.join(terms_at[k])} <= {rhs}"
+            groups.append(ReportGroup(k, c_slots[k], k == r, display, tuple(rows_at[k])))
+    return ProofReport(r=r, groups=tuple(groups))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +399,8 @@ def _line_to_json(line: CertificateLine) -> dict:
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    return {"r": cert.r, "lines": [_line_to_json(line) for line in cert.lines]}
+    lines = [{"i": ln.level, "s": ln.split, "k": ln.target} for ln in cert.lines]
+    return {"r": cert.r, "lines": lines}
 
 
 def certificate_from_json(obj: Any) -> Certificate:
@@ -372,7 +414,7 @@ def certificate_from_json(obj: Any) -> Certificate:
         raise ValueError("'lines' must be a list")
     lines = []
     for row in raw_lines:
-        if not isinstance(row, dict) or not {"i", "s", "k"} <= set(row):
+        if not isinstance(row, dict) or "i" not in row or "s" not in row or "k" not in row:
             raise ValueError(f"certificate line needs keys 'i', 's', 'k': {row!r}")
         lines.append(CertificateLine(row["i"], row["s"], row["k"]))
     return Certificate(r, tuple(lines))

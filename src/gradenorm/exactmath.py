@@ -2,9 +2,11 @@
 coefficients, rational exponent pairs, and the two-variable
 majorization predicate.
 
-The certificate checker and report use ``GradingSignature``, ``binom``
-and ``ratio_to_str``, the one renderer of the ``"p/q"`` wire format; it
-takes an integer pair, so they build no ``Fraction``. ``ExponentPair``
+The certificate checker and report use ``GradingSignature`` and the
+``"p/q"`` wire format of ``ratio_to_str``, which takes an integer pair,
+so they build no ``Fraction``. ``check_line`` compares ``binom`` values;
+the batch checker no longer calls ``binom`` per line, but takes the same
+integers from rows built by an exact recurrence. ``ExponentPair``
 and ``majorizes`` are the definition of majorization on rational
 exponents; the checker applies the same definition to integer pairs
 scaled by 2r, and its tests compare the two. Every comparison here is

@@ -74,13 +74,14 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         GradingSignature(self.r)  # validates r
-        for name in ("sample_count", "grid_resolution", "ascent_steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be nonnegative, got {self.rng_seed}")
+        counts = ("sample_count", "grid_resolution", "ascent_steps", "rng_seed")
+        for name, low in zip(counts, (1, 1, 1, 0)):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+        # a NaN or infinite tolerance would make every verdict False
+        if not 0 < self.tolerance < float("inf"):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
 
 
 @dataclass(frozen=True)

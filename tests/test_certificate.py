@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +14,8 @@ from gradenorm.certificate import (
     REASONS,
     Certificate,
     CertificateLine,
+    CheckReport,
+    Violation,
     certificate_from_json,
     certificate_to_json,
     certificate_to_report,
@@ -233,19 +237,141 @@ def test_checker_matches_reference_on_every_single_line_mutation(r):
         assert seen == set(REASONS)
 
 
-def test_report_checks_each_line_exactly_once(monkeypatch):
+def test_report_calls_check_certificate_exactly_once(monkeypatch):
     calls = []
-    real_check = certificate_mod.check_line
+    real_check = certificate_mod.check_certificate
 
-    def counting(sig, line):
-        calls.append(line)
-        return real_check(sig, line)
+    def counting(sig, cert):
+        calls.append(cert)
+        return real_check(sig, cert)
 
-    monkeypatch.setattr(certificate_mod, "check_line", counting)
+    monkeypatch.setattr(certificate_mod, "check_certificate", counting)
     sig = GradingSignature(12)
     cert = search_certificate(sig)
     certificate_to_report(sig, cert)
-    assert len(calls) == len(cert.lines)
+    assert calls == [cert]
+
+
+# The batch checker against the per-line definition: the three loops of
+# the checker as it was written over ``check_line``, on seeded random
+# tamperings of the closed-form certificate.
+
+def reference_check(sig, cert):
+    if cert.r != sig.r:
+        raise ValueError(f"certificate is for r={cert.r}, signature has r={sig.r}")
+    violations = []
+    seen_orbits = {}
+    for line in cert.lines:
+        key = (line.level, line.split)
+        if key in seen_orbits:
+            detail = f"duplicate line for orbit (i={key[0]}, s={key[1]})"
+            violations.append(Violation(line, "incomplete", detail))
+        else:
+            seen_orbits[key] = line
+    for i in range(1, sig.r + 1):
+        for s in range(1, sig.exponent(i) // 2 + 1):
+            if (i, s) not in seen_orbits:
+                detail = f"orbit (i={i}, s={s}) has no line"
+                violations.append(Violation(None, "incomplete", detail))
+    seen_slots = set()
+    for line in cert.lines:
+        slot = (line.target, line.level)
+        if slot in seen_slots:
+            detail = f"slot (k={line.target}, i={line.level}) already spent"
+            violations.append(Violation(line, "slot_conflict", detail))
+        else:
+            seen_slots.add(slot)
+    for line in cert.lines:
+        reason = check_line(sig, line)
+        if reason is not None:
+            violations.append(Violation(line, reason))
+    return CheckReport(valid=not violations, violations=tuple(violations))
+
+
+def tamper(rng, sig, lines):
+    """One to five random edits: duplicate, drop, re-target, move,
+    shuffle all lines, or (rarely) push one index out of range."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 5)):
+        j = rng.randrange(len(lines))
+        ln = lines[j]
+        kind = rng.choice(["duplicate", "drop", "retarget", "retarget", "move", "shuffle", "range"])
+        if kind == "duplicate":
+            lines.insert(rng.randrange(len(lines) + 1), ln)
+        elif kind == "drop" and len(lines) > 1:
+            del lines[j]
+        elif kind == "retarget":
+            lines[j] = CertificateLine(ln.level, ln.split, rng.randint(1, sig.r))
+        elif kind == "move":
+            lines.insert(rng.randrange(len(lines) + 1), lines.pop(j))
+        elif kind == "shuffle":
+            rng.shuffle(lines)
+        elif kind == "range" and rng.random() < 0.3:
+            field = rng.choice(["level", "split", "target"])
+            bad = {
+                "level": (sig.r + 1, ln.split, ln.target),
+                "split": (ln.level, sig.exponent(ln.level) // 2 + 1, ln.target),
+                "target": (ln.level, ln.split, sig.r + rng.randint(1, 3)),
+            }[field]
+            lines[j] = CertificateLine(*bad)
+    return tuple(lines)
+
+
+def outcome(check, sig, cert):
+    try:
+        return check(sig, cert)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("r", [7, 12, 24, 40])
+def test_checker_matches_per_line_reference_on_seeded_tamperings(r):
+    rng = random.Random(1000 + r)
+    sig = GradingSignature(r)
+    base = search_certificate(sig).lines
+    kinds = Counter()
+    for _ in range(40):
+        cert = Certificate(r, tamper(rng, sig, base))
+        expected = outcome(reference_check, sig, cert)
+        assert outcome(check_certificate, sig, cert) == expected
+        if isinstance(expected, str):
+            kinds["raised"] += 1
+        else:
+            kinds["valid" if expected.valid else "invalid"] += 1
+    assert kinds["raised"] and kinds["invalid"]
+    # several failing lines out of level order: per-line reasons follow the lines
+    lines = list(base)
+    rng.shuffle(lines)
+    lines[:6] = [CertificateLine(ln.level, ln.split, 1) for ln in lines[:6]]
+    cert = Certificate(r, tuple(lines))
+    assert check_certificate(sig, cert) == reference_check(sig, cert)
+
+
+def test_binomial_rows_equal_math_comb():
+    for n in range(401):
+        assert certificate_mod._binom_row(n, n) == [math.comb(n, s) for s in range(n + 1)]
+
+
+def test_closed_form_certificate_checks_valid_for_every_r_up_to_150():
+    for r in range(1, 151):
+        sig = GradingSignature(r)
+        assert check_certificate(sig, search_certificate(sig)).valid, r
+
+
+def test_check_certificate_makes_no_per_line_binom_call(monkeypatch):
+    calls = []
+    real_binom = certificate_mod.binom
+
+    def counting(n, k):
+        calls.append((n, k))
+        return real_binom(n, k)
+
+    monkeypatch.setattr(certificate_mod, "binom", counting)
+    sig = GradingSignature(200)
+    cert = search_certificate(sig)
+    assert check_certificate(sig, cert).valid
+    assert len(calls) <= sig.r + 1  # at most one per row, none per line
+    assert len(cert.lines) == 20100
 
 
 def test_check_certificate_r_mismatch():

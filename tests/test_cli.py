@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gradenorm.certificate as certificate_mod
+import gradenorm.cli as cli_mod
 from gradenorm import numeric_search
 from gradenorm.cli import main
 from gradenorm.graded_space import (
@@ -66,16 +67,20 @@ def test_prove_check_round_trip(capsys, tmp_path, r):
 
 
 def test_prove_exits_one_when_its_certificate_fails_the_check(capsys, monkeypatch):
-    # forbid level 3 from using targets above 2: the built certificate then
-    # fails the re-check, and prove must say so without emitting anything
-    real_check = certificate_mod.check_line
+    # the builder re-targets level 3's first orbit above 2, onto k = 3: the
+    # certificate then fails the re-check, and prove must say so without
+    # emitting anything
+    real_search = cli_mod.search_certificate
 
-    def restricted(sig, line):
-        if line.level == 3 and line.target > 2:
-            return "majorization"
-        return real_check(sig, line)
+    def retargeted(sig):
+        cert = real_search(sig)
+        lines = tuple(
+            certificate_mod.CertificateLine(3, 1, 3) if (ln.level, ln.split) == (3, 1) else ln
+            for ln in cert.lines
+        )
+        return certificate_mod.Certificate(cert.r, lines)
 
-    monkeypatch.setattr(certificate_mod, "check_line", restricted)
+    monkeypatch.setattr(cli_mod, "search_certificate", retargeted)
     code, stdout, err = run(capsys, "prove", "--r", "5")
     assert code == 1
     assert stdout == ""

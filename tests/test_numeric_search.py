@@ -91,6 +91,30 @@ def test_config_validation():
         SearchConfig(r=2, rng_seed=-1)
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-12])
+def test_config_rejects_a_tolerance_that_switches_off_the_verdict(tolerance):
+    # rel > nan and rel > inf are never true, so the hunt could not
+    # report a violation at all
+    with pytest.raises(ValueError, match="tolerance"):
+        SearchConfig(3, 2000, tolerance=tolerance)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sample_count", 2.5),
+        ("ascent_steps", 2.5),
+        ("grid_resolution", 2.0),
+        ("rng_seed", 1.5),
+        ("sample_count", True),
+        ("rng_seed", False),
+    ],
+)
+def test_config_rejects_non_integer_counts_and_seed(field, value):
+    with pytest.raises(ValueError, match=field):
+        SearchConfig(3, **{"sample_count": 2000, field: value})
+
+
 @pytest.mark.parametrize("r", [2, 3, 5])
 def test_hunt_finds_no_violation_for_proved_lengths(r):
     out = hunt(SearchConfig(r=r, rng_seed=42, **SMALL))

@@ -51,7 +51,6 @@ _EXPORTS = {
     "vector_to_json": "graded_space",
     "vector_from_json": "graded_space",
     "profile_to_json": "graded_space",
-    "profile_from_json": "graded_space",
     "SearchConfig": "numeric_search",
     "SearchOutcome": "numeric_search",
     "scalar_defect": "numeric_search",

@@ -37,28 +37,29 @@ back the cancelled pure terms yields
 the scalar triangle inequality. Per-level Euclidean triangle
 inequalities and monotonicity then extend it to graded vectors.
 
-The checker computes with Python integers only. It tests (b) with every
-exponent multiplied by 2r: the shadow becomes (e_i (2r - k), e_i k)
-(``expansion.scaled_shadow``) and the orbit (2r (e_i - s), 2r s), both
-integer pairs, and scaling both pairs by the same positive factor
-changes neither their sums nor which leading exponent is larger, so
-this is the definition of majorization itself (``exactmath.majorizes``),
-not a lemma about the builder. Orbits come from ``expansion`` too, so
-no ``Fraction`` is built. ``check_line`` takes the binomials of (a) from
-``binom``; ``check_certificate`` and the report take them from one row
-of C(2r, k) per call and one row of C(e_i, s) per level, built by the
-exact recurrence C(n, s+1) = C(n, s)(n - s)/(s + 1), so no table
-outlives a call. Both make the same comparisons, in one line predicate.
+The checker computes with Python integers only. Both pairs of (b) have
+degree e_i: the shadow's exponents sum to e_i (2r - k)/2r + e_i k/2r.
+For two pairs of equal degree, majorization is one comparison of the
+leading exponents (``exactmath.majorizes``). Since k <= r the shadow's
+leading exponent is e_i (2r - k)/2r, and since s <= e_i/2 the orbit's is
+e_i - s, so (b) is e_i (2r - k) >= 2r (e_i - s), that is e_i k <= 2r s.
+This holds by algebra for every in-range line, not only the builder's.
+Orbits come from ``expansion``, so no ``Fraction`` is built.
+``check_line`` takes the binomials of (a) from ``binom``;
+``check_certificate`` and the report take them from one row of C(2r, k)
+per call and one row of C(e_i, s) per level, built by the exact
+recurrence C(n, s+1) = C(n, s)(n - s)/(s + 1), so no table outlives a
+call. Both make the same comparisons, in one line predicate.
 The builder is untrusted by design: whatever it returns is re-checked.
 It targets each orbit at k = floor(n s / e) with n = 2r and
 e = e_i <= n. That k passes (a): k >= s and n - k >= n (e - s) / e >=
 e - s, and C(x + y, x) grows in both x and y, so C(e, s) =
 C(s + (e - s), s) <= C(k + (n - k), k) = C(n, k). It passes (b),
-which is e (n - k) >= n (e - s), that is k <= n s / e. It is injective
-per level (floors of a sequence with increments n/e >= 1 are strictly
-increasing), so a certificate exists for every length and no search is
-needed. The paper proves length 5; the other lengths rest on this
-argument, and the checker still checks every line.
+e k <= n s, since k <= n s / e. It is injective per level (floors of a
+sequence with increments n/e >= 1 are strictly increasing), so a
+certificate exists for every length and no search is needed. The paper
+proves length 5; the other lengths rest on this argument, and the
+checker still checks every line.
 
 Checker and builder are pure and can run concurrently without
 coordination.
@@ -192,11 +193,8 @@ def _line_reason(r: int, e: int, s: int, k: int, c_orbit: int, c_slot: int) -> s
         return REASON_MIDDLE_MISMATCH
     if c_orbit > c_slot:
         return REASON_COEFFICIENT
-    two_r = 2 * r
-    hi, lo = scaled_shadow(two_r, e, k)
-    # the orbit scaled by 2r; s <= e/2, so orbit_hi is its larger exponent
-    orbit_hi, orbit_lo = two_r * (e - s), two_r * s
-    if hi + lo != orbit_hi + orbit_lo or max(hi, lo) < orbit_hi:
+    if e * k > 2 * r * s:
+        # the shadow's leading exponent e (2r - k)/2r is below e - s
         return REASON_MAJORIZATION
     return None
 
@@ -205,7 +203,7 @@ def check_line(sig: GradingSignature, line: CertificateLine) -> str | None:
     """None when the line is admissible, otherwise the violation reason.
 
     Integers only: big-integer coefficient comparison, and majorization
-    of the exponent pairs scaled by 2r (see the module docstring).
+    as e_i k <= 2r s (see the module docstring).
     Out-of-range indices are a domain error.
     """
     e = sig.exponent(line.level)  # raises on an out-of-range level

@@ -172,15 +172,16 @@ def _cmd_triangle_sample(args: argparse.Namespace) -> int:
         y = random_vector(sig, rng, dims=dims)
     else:
         raise ValueError("provide --in or --r")
-    # hnorm raises when a level length leaves the double range
-    result = {
-        "X": vector_to_json(x),
-        "Y": vector_to_json(y),
-        "hnorm_x": hnorm(x),
-        "hnorm_y": hnorm(y),
-        "hnorm_sum": hnorm(x + y),
-        "triangle_defect": triangle_defect(x, y),
-    }
+    # hnorm raises when a level length, of X + Y too, leaves the double range
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = {
+            "X": vector_to_json(x),
+            "Y": vector_to_json(y),
+            "hnorm_x": hnorm(x),
+            "hnorm_y": hnorm(y),
+            "hnorm_sum": hnorm(x + y),
+            "triangle_defect": triangle_defect(x, y),
+        }
     if args.json:
         _emit(result)
     else:

@@ -5,16 +5,16 @@ majorization predicate.
 The certificate checker and report use ``GradingSignature`` and the
 ``"p/q"`` wire format of ``ratio_to_str``, which takes an integer pair,
 so they build no ``Fraction``. ``check_line`` compares ``binom`` values;
-the batch checker no longer calls ``binom`` per line, but takes the same
-integers from rows built by an exact recurrence. ``ExponentPair``
-and ``majorizes`` are the definition of majorization on rational
-exponents; the checker applies the same definition to integer pairs
-scaled by 2r, and its tests compare the two. Every comparison here is
-exact. Rationals are ``fractions.Fraction`` values, which are always
-stored reduced with a positive denominator and compare by big-integer
-cross multiplication. The module imports only the standard library and
-holds no numeric routine; ``ExponentPair.as_floats`` only hands
-exponents to the float side (``graded_space``, ``numeric_search``).
+the batch checker takes the same integers from rows built by an exact
+recurrence. ``ExponentPair`` and ``majorizes`` are the definition of
+majorization on rational exponents; a certificate line's two pairs have
+equal degree, so the checker tests it as one integer comparison, and
+its tests compare the two. Every comparison here is exact. Rationals
+are ``fractions.Fraction`` values, which are always stored reduced with
+a positive denominator and compare by big-integer cross
+multiplication. The module imports only the standard library and holds
+no numeric routine; ``ExponentPair.as_floats`` only hands exponents to
+the float side (``graded_space``, ``numeric_search``).
 
 All functions are pure and all values immutable, so concurrent use
 needs no coordination.

@@ -26,15 +26,17 @@ spend.
 
 This module is the one integer ledger of the expansion. The orbit list
 (``orbit_triples``) and the shadow scaled by 2r (``scaled_shadow``) are
-defined here only; the checker, the builder, the report and the JSON
-tables all call them. ``rhs_table`` is the one list of right-hand
-orbits. Coefficients are big integers, and only ``shadow`` and
-``orbit_exponents`` build ``Fraction`` exponents, for the float side
-and the rational definition of majorization. Pure functions throughout.
-The module imports only ``exactmath``, so the certificate checker built
-on it never loads numpy. The float evaluation of these identities (the
-pure-term cancellation and the Hölder bound per slot) lives in
-``numeric_search``.
+defined here only. The checker and the builder walk the orbit list; the
+report, ``shadow`` and the JSON tables take the shadow from
+``scaled_shadow``, which the checker's one-comparison majorization
+test does not need (see ``certificate``). ``rhs_table`` is the one list
+of right-hand orbits. Coefficients are big integers, and only
+``shadow`` and ``orbit_exponents`` build ``Fraction`` exponents, for the
+float side and the rational definition of majorization. Pure functions
+throughout. The module imports only ``exactmath``, so the certificate
+checker built on it never loads numpy. The float evaluation of these
+identities (the pure-term cancellation and the Hölder bound per slot)
+lives in ``numeric_search``.
 """
 
 from __future__ import annotations

@@ -67,7 +67,6 @@ __all__ = [
     "vector_to_json",
     "vector_from_json",
     "profile_to_json",
-    "profile_from_json",
 ]
 
 _INF = math.inf
@@ -310,13 +309,3 @@ def profile_to_json(a: ScalarProfile) -> dict:
     """``{"r": int, "a": [float, ...]}``"""
     return {"r": a.signature.r, "a": a.magnitudes.tolist()}
 
-
-def profile_from_json(obj: Any) -> ScalarProfile:
-    if not isinstance(obj, dict) or "r" not in obj or "a" not in obj:
-        raise ValueError("scalar profile JSON needs keys 'r' and 'a'")
-    r, mags = obj["r"], obj["a"]
-    if not isinstance(r, int) or isinstance(r, bool):
-        raise ValueError(f"'r' must be an integer, got {r!r}")
-    if not isinstance(mags, list) or len(mags) != r:
-        raise ValueError(f"'a' must be a list of {r} magnitudes")
-    return ScalarProfile(GradingSignature(r), _floats(mags, "'a'"))

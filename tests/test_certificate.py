@@ -198,16 +198,35 @@ def reference_violations(sig, lines):
             if (i, s) not in orbits:
                 expected[None, "incomplete"] += 1
     for ln in lines:
-        e = 2 * (r - ln.level + 1)
-        k, s = ln.target, ln.split
-        shade = ExponentPair(Fraction(e * (2 * r - k), 2 * r), Fraction(e * k, 2 * r))
-        if 2 * s != e and k == r:
-            expected[ln, "middle_mismatch"] += 1
-        elif loop_binom(e, s) > loop_binom(2 * r, k):
-            expected[ln, "coefficient"] += 1
-        elif not majorizes(shade, ExponentPair(Fraction(e - s), Fraction(s))):
-            expected[ln, "majorization"] += 1
+        reason = reference_line_reason(r, 2 * (r - ln.level + 1), ln.split, ln.target)
+        if reason is not None:
+            expected[ln, reason] += 1
     return expected
+
+
+def reference_line_reason(r, e, s, k):
+    shade = ExponentPair(Fraction(e * (2 * r - k), 2 * r), Fraction(e * k, 2 * r))
+    if 2 * s != e and k == r:
+        return "middle_mismatch"
+    if loop_binom(e, s) > loop_binom(2 * r, k):
+        return "coefficient"
+    if not majorizes(shade, ExponentPair(Fraction(e - s), Fraction(s))):
+        return "majorization"
+    return None
+
+
+def test_check_line_matches_reference_on_every_in_range_line_up_to_r_20():
+    seen = Counter()
+    for r in range(1, 21):
+        sig = GradingSignature(r)
+        for i, e in enumerate(sig.exponents, 1):
+            for s in range(1, e // 2 + 1):
+                for k in range(1, r + 1):
+                    want = reference_line_reason(r, e, s, k)
+                    assert check_line(sig, CertificateLine(i, s, k)) == want, (r, i, s, k)
+                    seen[want] += 1
+    assert sum(seen.values()) == 23_485
+    assert set(seen) == {None, "coefficient", "majorization", "middle_mismatch"}
 
 
 def single_line_mutations(cert):

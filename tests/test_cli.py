@@ -326,8 +326,8 @@ def test_norm_of_level_beyond_double_range_is_usage_error(capsys, tmp_path):
 def test_triangle_sample_of_level_beyond_double_range_is_usage_error(capsys, tmp_path):
     big = {"r": 2, "components": [[1e308], [1.0]]}
     path = write_json(tmp_path / "pair.json", {"X": big, "Y": big})
-    with pytest.warns(RuntimeWarning):  # the sum of the first levels overflows
-        code, stdout, stderr = run(capsys, "triangle-sample", "--in", path, "--json")
+    # the sum of the first levels overflows; the suite turns a leaked warning into a failure
+    code, stdout, stderr = run(capsys, "triangle-sample", "--in", path, "--json")
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("error:")
@@ -410,8 +410,8 @@ def test_triangle_sample_respects_dims(capsys):
 
 def error_case_paths(tmp_path):
     """The files an error case names: missing, malformed, unwritable, the
-    r = 3 fixture tampered three ways, and vectors with an entry that is
-    not a JSON number."""
+    r = 3 fixture tampered three ways, vectors with an entry that is not
+    a JSON number, and a pair whose sum leaves the double range."""
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json", encoding="utf-8")
     paths = {
@@ -433,6 +433,8 @@ def error_case_paths(tmp_path):
     paths["non_numeric"] = write_json(tmp_path / "non_numeric.json", bad)
     pair = {"X": bad, "Y": {"r": 1, "components": [[1.0]]}}
     paths["non_numeric_pair"] = write_json(tmp_path / "non_numeric_pair.json", pair)
+    big = {"r": 2, "components": [[1.5e308], [1.0]]}
+    paths["overflowing_sum"] = write_json(tmp_path / "overflowing_sum.json", {"X": big, "Y": big})
     # JSON values that numpy would convert to floats
     for name, entry in (("string", "1.5"), ("boolean", True), ("null", None)):
         paths[name] = write_json(tmp_path / f"{name}.json", {"r": 1, "components": [[entry]]})
@@ -456,6 +458,7 @@ ERROR_CASES = [
     (["triangle-sample", "--in", "{missing}"], 2),
     (["triangle-sample", "--in", "{garbage}"], 2),
     (["triangle-sample", "--in", "{non_numeric_pair}"], 2),
+    (["triangle-sample", "--in", "{overflowing_sum}"], 2),
     (["triangle-sample", "--r", "3", "--seed", "-5"], 2),
     (["prove", "--r", "3", "--out", "{unwritable}"], 2),
     (["prove", "--r", "3", "--json", "--out", "{unwritable}"], 2),

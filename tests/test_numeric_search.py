@@ -1,6 +1,7 @@
 import decimal
 import hashlib
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,6 @@ from gradenorm.certificate import CertificateLine
 from gradenorm.graded_space import GradingSignature, ScalarProfile
 from gradenorm.numeric_search import (
     SearchConfig,
-    SearchOutcome,
     hunt,
     line_defect,
     scalar_defect,
@@ -329,6 +329,8 @@ def test_batched_ascent_matches_one_move_per_call(case):
     assert got[2].hex() == want[2].hex()
     assert got[3] == want[3]
     assert np.all(got[0] >= 0) and np.all(got[1] >= 0)
+    defect, _ = numeric_search._batch_defects(exps, got[0][None, :], got[1][None, :])
+    assert got[4].hex() == float(defect[0]).hex()
 
 
 def test_batched_ascent_matches_when_the_step_size_runs_out():
@@ -498,10 +500,10 @@ def test_hunt_seed_changes_search_trajectory():
 def test_outcome_json_round_trip():
     out = hunt(SearchConfig(r=2, rng_seed=5, sample_count=5000, ascent_steps=20))
     payload = out.to_json()
-    back = SearchOutcome.from_json(payload)
-    assert back.max_defect == out.max_defect
-    assert back.violation_found == out.violation_found
-    assert np.array_equal(back.argmax[1].magnitudes, out.argmax[1].magnitudes)
+    assert json.loads(json.dumps(payload)) == payload
+    assert payload["max_defect"] == out.max_defect
+    assert payload["violation_found"] == out.violation_found
+    assert payload["argmax_b"] == {"r": 2, "a": out.argmax[1].magnitudes.tolist()}
     assert payload["r"] == 2
 
 

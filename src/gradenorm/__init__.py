@@ -46,6 +46,7 @@ _EXPORTS = {
     "homogeneity_defect": "graded_space",
     "scalar_profile": "graded_space",
     "scalar_norm": "graded_space",
+    "scalar_defect": "graded_space",
     "triangle_defect": "graded_space",
     "random_vector": "graded_space",
     "vector_to_json": "graded_space",
@@ -53,7 +54,6 @@ _EXPORTS = {
     "profile_to_json": "graded_space",
     "SearchConfig": "numeric_search",
     "SearchOutcome": "numeric_search",
-    "scalar_defect": "numeric_search",
     "hunt": "numeric_search",
     "line_defect": "numeric_search",
     "pure_terms_cancel": "numeric_search",

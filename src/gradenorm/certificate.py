@@ -67,7 +67,7 @@ coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from operator import attrgetter
 from typing import Any
@@ -86,7 +86,6 @@ __all__ = [
     "Certificate",
     "Violation",
     "CheckReport",
-    "ReportGroup",
     "ProofReport",
     "REASONS",
     "InvalidCertificateError",
@@ -309,38 +308,23 @@ def _symmetric_display(c: int, a: str, b: str, hi: int, lo: int) -> str:
 
 
 @dataclass(frozen=True)
-class ReportGroup:
-    k: int
-    rhs_coefficient: int
-    is_middle: bool
-    display: str
-    lines: tuple[dict, ...]
-
-
-@dataclass(frozen=True)
 class ProofReport:
+    """A valid certificate grouped by target k. Each group is the dict its
+    JSON carries: ``k``, ``rhs_coefficient`` (C(2r, k)), ``is_middle``
+    (k = r), ``display`` (the comparison as text) and ``lines`` (a tuple
+    of line records ``i``, ``s``, ``coefficient``, ``orbit_exponents``,
+    ``shadow_exponents``)."""
+
     r: int
-    groups: tuple[ReportGroup, ...] = field(default_factory=tuple)
+    groups: tuple[dict, ...]
 
     def render_text(self) -> str:
         out = [f"triangle-inequality certificate, length r = {self.r}"]
-        out.extend(g.display for g in self.groups)
+        out.extend(g["display"] for g in self.groups)
         return "\n".join(out)
 
     def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "groups": [
-                {
-                    "k": g.k,
-                    "rhs_coefficient": g.rhs_coefficient,
-                    "is_middle": g.is_middle,
-                    "display": g.display,
-                    "lines": list(g.lines),
-                }
-                for g in self.groups
-            ],
-        }
+        return {"r": self.r, "groups": [dict(g, lines=list(g["lines"])) for g in self.groups]}
 
 
 def certificate_to_report(sig: GradingSignature, cert: Certificate) -> ProofReport:
@@ -384,7 +368,8 @@ def certificate_to_report(sig: GradingSignature, cert: Certificate) -> ProofRepo
         if rows_at[k]:
             rhs = _symmetric_display(c_slots[k], "A", "B", two_r - k, k)
             display = f"[k={k}]  {' + '.join(terms_at[k])} <= {rhs}"
-            groups.append(ReportGroup(k, c_slots[k], k == r, display, tuple(rows_at[k])))
+            groups.append(dict(k=k, rhs_coefficient=c_slots[k], is_middle=k == r,
+                               display=display, lines=tuple(rows_at[k])))
     return ProofReport(r=r, groups=tuple(groups))
 
 

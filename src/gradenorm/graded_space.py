@@ -27,15 +27,23 @@ stored. ``x + y``, ``-x`` and ``dilate`` are one numpy operation on the
 flat array each, and their results skip the input validation, since
 they keep the layout of a vector that already passed it.
 
-The norm runs on Python floats: ``math.hypot`` per level, then the
-power sum and its 2r-th root. When that sum is not a normal finite
-double (a_i^{e_i} overflowed, or underflowed to zero or a subnormal
-from a nonzero profile), the norm is recomputed from the rescaled
-levels q_i = a_i^{e_i/2r} as max q * (sum_i (q_i / max q)^{2r})^{1/2r},
-the shift used for log-sum-exp (Blanchard, Higham & Higham, IMA J.
-Numer. Anal. 2021), which is finite for any finite level lengths. A
-level length beyond the double range raises ValueError. The hunter's
-batch kernel rescales its out-of-range rows with the same function.
+The norm formula has its two evaluators here. ``_norm``, behind
+``hnorm`` and ``scalar_norm``, runs on Python floats: ``math.hypot``
+per level, then the power sum and its 2r-th root. ``_batch_norms``,
+the hunter's kernel, evaluates (N, r) blocks of profiles with numpy.
+When a power sum is not a normal finite double (a_i^{e_i} overflowed,
+or underflowed to zero or a subnormal from a nonzero profile), both
+recompute the norm from the rescaled levels q_i = a_i^{e_i/2r} as
+max q * (sum_i (q_i / max q)^{2r})^{1/2r} in ``_rescaled_norms``, the
+shift used for log-sum-exp (Blanchard, Higham & Higham, IMA J. Numer.
+Anal. 2021), which is finite for any finite level lengths. A level
+length beyond the double range raises ValueError in ``_norm``.
+
+The two evaluators do not agree bit for bit: on 20,000 log-uniform
+rows (10^U(-3, 3)) per length, 4-7% of the norms differ by one unit in
+the last place at every r = 2..12, 24, 47 and 60, and none at r = 1.
+So neither can stand in for the other without re-pinning the hunts
+and digests recorded with it.
 
 All operations are pure functions over immutable values.
 """
@@ -62,6 +70,7 @@ __all__ = [
     "homogeneity_defect",
     "scalar_profile",
     "scalar_norm",
+    "scalar_defect",
     "triangle_defect",
     "random_vector",
     "vector_to_json",
@@ -215,9 +224,48 @@ def _rescaled_norms(mags: np.ndarray, exponents: np.ndarray | Sequence[int]) -> 
     return top * (scaled**two_r).sum(axis=1) ** (1.0 / two_r)
 
 
+@np.errstate(over="ignore")
+def _batch_norms(exponents: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
+    """Scalar norms of (N, r) blocks of profiles, one result row per block.
+
+    The powers of all blocks fill one array, so the sum below and the
+    range check run once per call. Below 8 columns numpy sums a row left
+    to right, so the power sum is built column by column in that order:
+    the same bits, without a numpy reduction loop per row. From 8
+    columns on numpy sums pairwise, and ``sum`` along each row is kept. A
+    row whose power sum is not a normal finite double (from r = 47 on,
+    1e3 ** 2r overflows) goes to ``_rescaled_norms``.
+    """
+    r = exponents.shape[0]
+    if r == 1:
+        # (a^2)^(1/2) is the magnitude itself; keep it bit-exact
+        return np.stack([mags[:, 0] for mags in blocks])
+    powers = np.empty((len(blocks),) + blocks[0].shape)
+    for out, mags in zip(powers, blocks):
+        np.power(mags, exponents, out=out)
+    if r < 8:
+        totals = powers[..., 0] + powers[..., 1]
+        for j in range(2, r):
+            totals += powers[..., j]
+    else:
+        totals = powers.sum(axis=-1)
+    if _TINY <= totals.min() and totals.max() < np.inf:
+        return np.power(totals, 1.0 / (2 * r), out=totals)
+    rescale = ~((totals >= _TINY) & (totals < np.inf))
+    norms = np.power(totals, 1.0 / (2 * r), out=totals)
+    for row, mags, rows in zip(norms, blocks, rescale):
+        row[rows] = _rescaled_norms(mags[rows], exponents)
+    return norms
+
+
 def scalar_norm(a: ScalarProfile) -> float:
     """(sum_i a_i^{e_i})^{1/2r} for a nonnegative profile."""
     return _norm(a.magnitudes.tolist(), a.signature.exponents)
+
+
+def scalar_defect(a: ScalarProfile, b: ScalarProfile) -> float:
+    """N(a + b) - N(a) - N(b) with the componentwise profile sum."""
+    return scalar_norm(a + b) - scalar_norm(a) - scalar_norm(b)
 
 
 def scalar_profile(x: GradedVector) -> ScalarProfile:
@@ -231,9 +279,9 @@ def hnorm(x: GradedVector) -> float:
 
 
 def dilate(t: float, x: GradedVector) -> GradedVector:
-    """Scale level i by t^i. The parameter must be nonzero."""
-    if t == 0:
-        raise ValueError("dilation parameter must be nonzero")
+    """Scale level i by t^i. The parameter must be finite and nonzero."""
+    if t == 0 or not abs(t) < _INF:  # NaN fails the comparison too
+        raise ValueError(f"dilation parameter t must be finite and nonzero, got {t!r}")
     try:
         powers = np.array([t ** (i + 1) for i in range(x.signature.r)], dtype=float)
     except OverflowError:

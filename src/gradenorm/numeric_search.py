@@ -1,6 +1,7 @@
-"""Floating-point falsification of the scalar triangle inequality, the
-float value of one certificate line at a point, and float checks of the
-expansion identities the certificates rest on.
+"""The counterexample hunter for the scalar triangle inequality, plus the
+float checks of the proof: the value of one certificate line at a
+point, and the expansion identities the certificates rest on. The norms
+come from ``graded_space``'s batch kernel.
 
 The hunter maximizes the defect N(a + b) - N(a) - N(b) over pairs of
 nonnegative profiles with three stages: a coarse lattice rescaled into
@@ -10,11 +11,6 @@ the norm is not dilation homogeneous for r >= 3, a violation could in
 principle hide at extreme scales, hence the explicit log-uniform
 magnitude coverage instead of normalizing samples.
 
-The ascent scores the moves left in each coordinate sweep as one
-speculative block, accepts the first row that improves and re-batches
-the rest of the sweep from there; it reaches the same point with the
-same evaluation count as trying the moves one at a time.
-
 A defect only counts as a violation when it exceeds
 tolerance * max(1, N(a) + N(b)); absolute thresholds misfire across
 magnitude decades. The hunter is a falsifier, not a verifier: a clean
@@ -23,11 +19,8 @@ run is evidence, the certificate checker is the proof.
 Everything is deterministic given the configured seed, including the
 parallel path: work is split into fixed chunks with per-chunk spawned
 seeds and merged by first-best, so thread count never changes results.
-
-The lattice and every sweep chunk stream through the kernel in blocks
-of _BLOCK_ROWS rows, whose buffers stay in cache. The blocks are drawn
-from the same streams, in the same order, as whole-chunk draws, and a
-block's best merges first-best, so the result is the same bit for bit.
+``hunt`` says how the lattice and the chunks stream through the kernel
+in blocks, and ``_ascend`` how the ascent batches its moves.
 """
 
 from __future__ import annotations
@@ -40,13 +33,11 @@ import numpy as np
 from .certificate import CertificateLine
 from .exactmath import GradingSignature, binom
 from .expansion import shadow
-from .graded_space import _TINY, _rescaled_norms
-from .graded_space import ScalarProfile, profile_to_json, scalar_norm
+from .graded_space import ScalarProfile, _batch_norms, profile_to_json, scalar_norm
 
 __all__ = [
     "SearchConfig",
     "SearchOutcome",
-    "scalar_defect",
     "hunt",
     "line_defect",
     "pure_terms_cancel",
@@ -103,50 +94,11 @@ class SearchOutcome:
         }
 
 
-@np.errstate(over="ignore")
-def _batch_norms(exponents: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
-    """Scalar norms of (N, r) blocks of profiles, one result row per block.
-
-    The powers of all blocks fill one array, so the sum below and the
-    range check run once per call. Below 8 columns numpy sums a row left
-    to right, so the power sum is built column by column in that order:
-    the same bits, without a numpy reduction loop per row. From 8
-    columns on numpy sums pairwise, and ``sum`` along each row is kept. A
-    row whose power sum is not a normal finite double (from r = 47 on,
-    1e3 ** 2r overflows) goes to ``_rescaled_norms``.
-    """
-    r = exponents.shape[0]
-    if r == 1:
-        # (a^2)^(1/2) is the magnitude itself; keep it bit-exact
-        return np.stack([mags[:, 0] for mags in blocks])
-    powers = np.empty((len(blocks),) + blocks[0].shape)
-    for out, mags in zip(powers, blocks):
-        np.power(mags, exponents, out=out)
-    if r < 8:
-        totals = powers[..., 0] + powers[..., 1]
-        for j in range(2, r):
-            totals += powers[..., j]
-    else:
-        totals = powers.sum(axis=-1)
-    if _TINY <= totals.min() and totals.max() < np.inf:
-        return np.power(totals, 1.0 / (2 * r), out=totals)
-    rescale = ~((totals >= _TINY) & (totals < np.inf))
-    norms = np.power(totals, 1.0 / (2 * r), out=totals)
-    for row, mags, rows in zip(norms, blocks, rescale):
-        row[rows] = _rescaled_norms(mags[rows], exponents)
-    return norms
-
-
 def _batch_defects(exponents: np.ndarray, a: np.ndarray, b: np.ndarray):
     na, nb, nsum = _batch_norms(exponents, a, b, a + b)
     defect = nsum - na - nb
     rel = defect / np.maximum(1.0, na + nb)
     return defect, rel
-
-
-def scalar_defect(a: ScalarProfile, b: ScalarProfile) -> float:
-    """N(a + b) - N(a) - N(b) with the componentwise profile sum."""
-    return scalar_norm(a + b) - scalar_norm(a) - scalar_norm(b)
 
 
 @dataclass
@@ -383,16 +335,16 @@ def line_defect(sig: GradingSignature, line: CertificateLine, x: float, y: float
 # Expansion identities in floating point
 # ---------------------------------------------------------------------------
 
-def pure_terms_cancel(sig: GradingSignature, trials: int = 8, rng_seed: int = 0) -> bool:
+def pure_terms_cancel(sig: GradingSignature) -> bool:
     """Confirm the s = 0 / s = e_i pure terms equal the k = 0 / k = 2r terms.
 
     Every boundary binomial coefficient is 1, so both sides reduce to
-    A^{2r} = sum_i a_i^{e_i}; random profiles confirm that identity
-    numerically to 1e-12 relative.
+    A^{2r} = sum_i a_i^{e_i}; eight seeded random profiles confirm that
+    identity numerically to 1e-12 relative.
     """
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     exps = np.asarray(sig.exponents, dtype=float)
-    for _ in range(trials):
+    for _ in range(8):
         mags = 10.0 ** rng.uniform(-2.0, 2.0, size=sig.r)
         profile = ScalarProfile(sig, mags)
         power_sum = float(np.sum(mags**exps))

@@ -537,9 +537,9 @@ def test_certificate_groups_hold_numerically(r):
     big_a = np.power(a, exps).sum(axis=1) ** (1 / (2 * r))
     big_b = np.power(b, exps).sum(axis=1) ** (1 / (2 * r))
     for group in report.groups:
-        k = group.k
+        k = group["k"]
         lhs = np.zeros(n)
-        for row in group.lines:
+        for row in group["lines"]:
             i, s = row["i"], row["s"]
             e = sig.exponent(i)
             x, y = a[:, i - 1], b[:, i - 1]
@@ -548,9 +548,9 @@ def test_certificate_groups_hold_numerically(r):
             else:
                 lhs += row["coefficient"] * (x ** (e - s) * y**s + x**s * y ** (e - s))
         if k == r:
-            rhs = group.rhs_coefficient * big_a**r * big_b**r
+            rhs = group["rhs_coefficient"] * big_a**r * big_b**r
         else:
-            rhs = group.rhs_coefficient * (
+            rhs = group["rhs_coefficient"] * (
                 big_a ** (2 * r - k) * big_b**k + big_a**k * big_b ** (2 * r - k)
             )
         rel = (lhs - rhs) / np.maximum(1.0, rhs)
@@ -575,8 +575,8 @@ def test_report_r5_matches_published_display():
 
 def test_report_includes_shadow_exponent_strings():
     report = certificate_to_report(GradingSignature(5), load_fixture(5))
-    k3 = next(g for g in report.groups if g.k == 3)
-    row = next(r for r in k3.lines if r["i"] == 2)
+    k3 = next(g for g in report.groups if g["k"] == 3)
+    row = next(r for r in k3["lines"] if r["i"] == 2)
     assert row["shadow_exponents"] == ["28/5", "12/5"]
     assert row["orbit_exponents"] == [5, 3]
 
@@ -585,7 +585,7 @@ def test_report_r1_single_group():
     sig = GradingSignature(1)
     report = certificate_to_report(sig, search_certificate(sig))
     assert len(report.groups) == 1
-    assert report.groups[0].display == "[k=1]  2 a1 b1 <= 2 A B"
+    assert report.groups[0]["display"] == "[k=1]  2 a1 b1 <= 2 A B"
 
 
 def test_report_rejects_invalid_certificate():

@@ -17,6 +17,7 @@ from gradenorm.graded_space import (
     GradingSignature,
     hnorm,
     random_vector,
+    triangle_defect,
     vector_from_json,
     vector_to_json,
 )
@@ -355,6 +356,14 @@ def test_dilate_rejects_zero_parameter(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("t", ["0", "nan", "inf", "-inf"])
+def test_dilate_error_names_a_zero_or_nonfinite_parameter(capsys, tmp_path, t):
+    path = write_json(tmp_path / "vec.json", zero_vector_payload())
+    code, stdout, stderr = run(capsys, "dilate", f"--t={t}", "--in", path)
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: dilation parameter t must be finite and nonzero")
+
+
 @pytest.mark.parametrize(
     "components, t",
     [
@@ -390,6 +399,34 @@ def test_triangle_sample_supplied_pair(capsys, tmp_path):
     assert "triangle defect" in stdout
 
 
+def triangle_sample_agrees_with_the_library(stdout, x, y):
+    payload = json.loads(stdout)
+    assert payload["X"] == vector_to_json(x) and payload["Y"] == vector_to_json(y)
+    defect = payload["triangle_defect"]
+    own = payload["hnorm_sum"] - payload["hnorm_x"] - payload["hnorm_y"]
+    assert defect.hex() == triangle_defect(x, y).hex() == own.hex()
+
+
+def test_triangle_sample_reports_the_library_defect_of_a_sampled_pair(capsys):
+    code, stdout, _ = run(capsys, "triangle-sample", "--r", "5", "--seed", "3", "--json")
+    assert code == 0
+    rng = np.random.default_rng(3)
+    x = random_vector(GradingSignature(5), rng)
+    y = random_vector(GradingSignature(5), rng)
+    triangle_sample_agrees_with_the_library(stdout, x, y)
+
+
+def test_triangle_sample_reports_the_library_defect_of_a_supplied_pair(capsys, tmp_path):
+    rng = np.random.default_rng(79)
+    sig = GradingSignature(4)
+    x = random_vector(sig, rng, dims=(2, 1, 3, 2), magnitude_decades=(-3.0, 3.0))
+    y = random_vector(sig, rng, dims=(2, 1, 3, 2), magnitude_decades=(-3.0, 3.0))
+    path = write_json(tmp_path / "pair.json", {"X": vector_to_json(x), "Y": vector_to_json(y)})
+    code, stdout, _ = run(capsys, "triangle-sample", "--in", path, "--json")
+    assert code == 0
+    triangle_sample_agrees_with_the_library(stdout, x, y)
+
+
 def test_triangle_sample_needs_input_or_length(capsys):
     code, _, _ = run(capsys, "triangle-sample")
     assert code == 2
@@ -410,8 +447,9 @@ def test_triangle_sample_respects_dims(capsys):
 
 def error_case_paths(tmp_path):
     """The files an error case names: missing, malformed, unwritable, the
-    r = 3 fixture tampered three ways, vectors with an entry that is not
-    a JSON number, and a pair whose sum leaves the double range."""
+    r = 3 fixture tampered three ways, a valid vector, vectors with an
+    entry that is not a JSON number, and a pair whose sum leaves the
+    double range."""
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json", encoding="utf-8")
     paths = {
@@ -433,6 +471,7 @@ def error_case_paths(tmp_path):
     paths["non_numeric"] = write_json(tmp_path / "non_numeric.json", bad)
     pair = {"X": bad, "Y": {"r": 1, "components": [[1.0]]}}
     paths["non_numeric_pair"] = write_json(tmp_path / "non_numeric_pair.json", pair)
+    paths["vector"] = write_json(tmp_path / "vector.json", {"r": 2, "components": [[1.0], [2.0]]})
     big = {"r": 2, "components": [[1.5e308], [1.0]]}
     paths["overflowing_sum"] = write_json(tmp_path / "overflowing_sum.json", {"X": big, "Y": big})
     # JSON values that numpy would convert to floats
@@ -454,6 +493,9 @@ ERROR_CASES = [
     (["dilate", "--t", "2", "--in", "{non_numeric}"], 2),
     (["dilate", "--t", "2", "--in", "{string}"], 2),
     (["dilate", "--t", "2", "--in", "{null}"], 2),
+    (["dilate", "--t=nan", "--in", "{vector}"], 2),
+    (["dilate", "--t=inf", "--in", "{vector}"], 2),
+    (["dilate", "--t=-inf", "--in", "{vector}"], 2),
     (["triangle-sample"], 2),
     (["triangle-sample", "--in", "{missing}"], 2),
     (["triangle-sample", "--in", "{garbage}"], 2),

@@ -115,6 +115,18 @@ def test_dilate_rejects_zero():
         dilate(0.0, x)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_dilate_rejects_a_nonfinite_parameter(t):
+    x = GradedVector.from_components([np.array([1.0]), np.array([1.0]), np.array([1.0])])
+    with pytest.raises(ValueError, match="dilation parameter t must be finite and nonzero"):
+        dilate(t, x)
+    with pytest.raises(ValueError, match="dilation parameter t must be finite and nonzero"):
+        homogeneity_defect(x, t)
+    # a huge integer is finite; its powers overflow instead
+    with pytest.raises(ValueError, match="overflows"):
+        dilate(10**400, x)
+
+
 def test_dilate_r2_doubles_norm():
     x = GradedVector.from_components([np.array([1.0]), np.array([1.0])])
     assert hnorm(x) == pytest.approx(2 ** 0.25, rel=1e-15)

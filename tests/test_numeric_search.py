@@ -9,12 +9,11 @@ import pytest
 
 from gradenorm import numeric_search
 from gradenorm.certificate import CertificateLine
-from gradenorm.graded_space import GradingSignature, ScalarProfile
+from gradenorm.graded_space import GradingSignature, ScalarProfile, scalar_defect
 from gradenorm.numeric_search import (
     SearchConfig,
     hunt,
     line_defect,
-    scalar_defect,
 )
 
 SMALL = dict(sample_count=20_000, grid_resolution=3, ascent_steps=60)
@@ -182,6 +181,15 @@ def outcome_key(out):
 #  sha256(argmax a bytes + argmax b bytes), samples_evaluated,
 #  violation_found), recorded with the one-move-per-call ascent and the
 # itertools lattice; every other SearchConfig field is the default
+#
+# The literals are the bits of numpy 2.4.6 dispatching its float loops to
+# x86-64-v4 (AVX-512 F/CD/BW/DQ/VL). On a Xeon with those features, all
+# 217 tests in this file pass with NPY_DISABLE_CPU_FEATURES="AVX512_ICL
+# AVX512_SPR"; with "X86_V4 AVX512_ICL AVX512_SPR" (AVX2 left) or with
+# "X86_V3 X86_V4 AVX512_ICL AVX512_SPR" 23 of the 28 pinned and
+# thread-count hunt tests fail, as does the demo 05 digest. A pin that
+# fails elsewhere points first at the numpy version and its SIMD
+# dispatch, which the CI workflow prints before the suite.
 PINNED_HUNTS = [
     (1, 20000, 0, '0x1.0000000000000p-47', '0x1.cc41cac2015a2p-53', 'e78d08e7161e6d681702343a4c40e82b3a3a8e86124bf7e0fdfe5ed2cca272e7', 21610, False),
     (1, 20000, 7, '0x1.0000000000000p-51', '0x1.f3c0942b17477p-53', '26152693805dcbaffb9dda1cdc33b2d4182317bfda9d9718adcd90c31d0ce68e', 21611, False),

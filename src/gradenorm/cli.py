@@ -2,11 +2,12 @@
 
 Subcommands: norm, dilate, triangle-sample, prove, check, hunt, report.
 Exit codes are stable: 0 success / valid / no violation, 1 invalid
-certificate or violation found, 2 usage or parse errors. Handlers return
-0 or 1 and raise every failure where it is found; ``main`` alone maps an
-exception to its exit code and its ``error:`` line. With --json stdout
-is a single JSON document; progress and diagnostics go to stderr.
-GRADENORM_THREADS caps worker threads for the hunt sweep.
+certificate or violation found, 2 usage, parse or out-of-memory errors.
+Handlers return 0 or 1 and raise every failure where it is found;
+``main`` alone maps an exception to its exit code and its ``error:``
+line. With --json stdout is a single JSON document; progress and
+diagnostics go to stderr. GRADENORM_THREADS caps worker threads for the
+hunt sweep.
 
 numpy, ``graded_space`` and ``numeric_search`` are imported inside the
 handlers that compute floats (norm, dilate, triangle-sample, hunt), so
@@ -271,6 +272,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail(str(exc), 1)
     except (OSError, ValueError) as exc:  # ValueError covers json.JSONDecodeError
         return _fail(str(exc))
+    except MemoryError as exc:  # not exit 1, which means a violation
+        return _fail(str(exc) or "out of memory")
 
 
 def entrypoint() -> None:

@@ -19,8 +19,10 @@ run is evidence, the certificate checker is the proof.
 Everything is deterministic given the configured seed, including the
 parallel path: work is split into fixed chunks with per-chunk spawned
 seeds and merged by first-best, so thread count never changes results.
-``hunt`` says how the lattice and the chunks stream through the kernel
-in blocks, and ``_ascend`` how the ascent batches its moves.
+Every stage streams through the kernel in blocks of bounded size, drawn
+bit for bit as the whole stage would be, so memory stays flat as r
+grows. ``hunt`` says how the lattice and the chunks are drawn, and
+``_ascend`` how the ascent batches its moves.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ LOG10_MAGNITUDE_RANGE = (-3.0, 3.0)
 _GRID_POINT_CAP = 100_000
 _CHUNK_ROWS = 200_000
 _BLOCK_ROWS = 4096
+_BLOCK_ELEMENTS = 2**19
 _ASCENT_CANDIDATES = 8
 _ASCENT_STEP_SIZE = 0.25
 
@@ -120,27 +123,95 @@ def _scan_block(exponents, a, b, best: _Best) -> None:
     best.offer(rel[idx], defect[idx], a[idx], b[idx])
 
 
-def _grid_lattice(r: int, resolution: int, rng: np.random.Generator):
-    """Lattice over [0, 1]^{2r} as integer levels, one row per point,
-    and the float value of each level; ``values[levels]`` is the lattice.
-    Full product when small enough, else a seeded subsample of lattice
-    points."""
+def _block_rows(width: int) -> int:
+    """Rows in one kernel block of ``width`` columns: at most _BLOCK_ROWS
+    rows and _BLOCK_ELEMENTS elements, so a block stays a few MB
+    whatever r is."""
+    return max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // width))
+
+
+def _product_lattice(r: int, resolution: int) -> np.ndarray:
+    """The integer levels of all resolution ** 2r points of the lattice
+    over [0, 1]^{2r}, one row per point. Row k is the k-th tuple of
+    product(range(resolution), repeat=2r), as from np.indices, which
+    allows only 64 dimensions."""
+    width = 2 * r
+    levels = np.empty((width, resolution**width), dtype=np.intp)
+    for j, digit in enumerate(levels):
+        digit.reshape(resolution**j, resolution, -1)[...] = np.arange(resolution)[:, None]
+    return levels.T
+
+
+def _level_blocks(rng: np.random.Generator, resolution: int, rows: int, width: int):
+    """Yield the rows of ``rng.integers(0, resolution, (rows, width))`` in
+    blocks of _block_rows(width) rows.
+
+    The blocks are bit for bit the rows of the whole draw: below 2**32
+    levels each level takes one 32-bit word from PCG64's next_uint32,
+    which keeps the unused half of a 64-bit output in the bit generator
+    from one call to the next.
+    """
+    size = min(rows, _block_rows(width))
+    for start in range(0, rows, size):
+        yield rng.integers(0, resolution, size=(min(size, rows - start), width))
+
+
+def _scan_lattice(exponents, values, level_blocks, scale_blocks) -> _Best:
+    """The best lattice point values[levels] * scale over the paired
+    blocks of integer levels and log-uniform scales."""
+    r = exponents.shape[0]
+    best = _Best()
+    for levels, scale in zip(level_blocks, scale_blocks):
+        pts = values[levels]
+        pts *= scale
+        _scan_block(exponents, pts[:, :r], pts[:, r:], best)
+    return best
+
+
+def _grid_stage(exponents, resolution: int, seed: np.random.SeedSequence) -> tuple[_Best, int]:
+    """Stage 1: the best point of the lattice over [0, 1]^{2r}, each
+    point times log-uniform magnitudes, and the number of points.
+
+    The full product is taken when it has at most _GRID_POINT_CAP
+    points; its scales come from a generator on ``seed``. Otherwise the
+    stream on ``seed`` holds the integer levels of _GRID_POINT_CAP
+    seeded points and then their scales. The levels are drawn block by
+    block (``_level_blocks``), and the scales from a second generator on
+    ``seed``, advanced past the levels' words, two to a 64-bit output.
+    When Lemire's method rejects a word (at resolution 3, a 32-bit word
+    of 0: about one hunt in 900 at r = 24) the levels take more words
+    than that. Their generator then ends past the scales' start, and the
+    lattice is scanned once more with the scales drawn from that end.
+    """
+    r = exponents.shape[0]
     width = 2 * r
     if resolution**width <= _GRID_POINT_CAP:
-        # row k is the k-th tuple of product(range(resolution), repeat=width),
-        # as from np.indices, which allows only 64 dimensions
-        levels = np.empty((width, resolution**width), dtype=np.intp)
-        for j, digit in enumerate(levels):
-            digit.reshape(resolution**j, resolution, -1)[...] = np.arange(resolution)[:, None]
-        return levels.T, np.linspace(0.0, 1.0, resolution)
-    levels = rng.integers(0, resolution, size=(_GRID_POINT_CAP, width))
+        levels = _product_lattice(r, resolution)
+        size = _block_rows(width)
+        level_blocks = (levels[start : start + size] for start in range(0, len(levels), size))
+        scales = _log_uniform_blocks(np.random.default_rng(seed), len(levels), width)
+        best = _scan_lattice(exponents, np.linspace(0.0, 1.0, resolution), level_blocks, scales)
+        return best, len(levels)
+    rows = _GRID_POINT_CAP
     # k / (resolution - 1), the bits of dividing the whole level array
-    return levels, np.arange(resolution) / (resolution - 1)
+    values = np.arange(resolution) / (resolution - 1)
+    scale_bits = np.random.PCG64(seed).advance(rows * r)
+    while True:  # twice at most: a second pass starts where the levels end
+        scale_start = scale_bits.state["state"]
+        level_rng = np.random.default_rng(seed)
+        scales = _log_uniform_blocks(np.random.Generator(scale_bits), rows, width)
+        best = _scan_lattice(
+            exponents, values, _level_blocks(level_rng, resolution, rows, width), scales
+        )
+        end = level_rng.bit_generator.state
+        if end["state"] == scale_start:
+            return best, rows
+        scale_bits.state = {**end, "has_uint32": 0, "uinteger": 0}
 
 
 def _log_uniform_blocks(rng: np.random.Generator, rows: int, width: int):
     """Yield the log-uniform magnitudes 10 ** U(lo, hi) of a (rows, width)
-    draw from ``rng`` in row blocks of at most _BLOCK_ROWS.
+    draw from ``rng`` in blocks of _block_rows(width) rows.
 
     The blocks are bit for bit the rows of ``10.0 ** rng.uniform(lo, hi,
     (rows, width))``: uniform is lo + (hi - lo) * random() and draws one
@@ -149,7 +220,7 @@ def _log_uniform_blocks(rng: np.random.Generator, rows: int, width: int):
     is one reused buffer, valid until the next block is drawn.
     """
     lo, hi = LOG10_MAGNITUDE_RANGE
-    size = min(rows, _BLOCK_ROWS)
+    size = min(rows, _block_rows(width))
     buf = np.empty((size, width))
     tens = np.full((size, width), 10.0)
     for start in range(0, rows, size):
@@ -185,13 +256,15 @@ def _ascend(exponents, a, b, steps: int, step_size: float):
     goes on at coordinate j + 1. A step without a move halves h; the
     ascent ends after ``steps`` steps or once h < 1e-10.
 
-    The sweep is scored speculatively: every live move left in it is
-    built from the current x as one row of a block, in sweep order, and
-    the block goes through ``_batch_defects`` in one call. The first
-    improving row is accepted and the rest of the sweep is re-batched
-    from the new point; rows after it are discarded and not counted in
-    ``evals``. A move that leaves x[j] unchanged is not a row. The
-    result is bit-identical to scoring the moves one at a time.
+    The sweep is scored speculatively: the live moves left in it are
+    built from the current x as the rows of a block, in sweep order, and
+    each block of _block_rows(2r) of them goes through ``_batch_defects``
+    in one call. The first improving row is accepted and the rest of the
+    sweep is re-batched from the new point; rows after it are discarded
+    and not counted in ``evals``. A block without one is counted whole
+    and the next block is scored. A move that leaves x[j] unchanged is
+    not a row. The result is bit-identical to scoring the moves one at a
+    time.
 
     Returns (a, b, relative defect, evaluations, defect) at the final
     point. Only a strict improvement moves x, so an ascent without one
@@ -200,6 +273,7 @@ def _ascend(exponents, a, b, steps: int, step_size: float):
     x = np.concatenate([a, b])
     r = a.shape[0]
     width = 2 * r
+    size = _block_rows(width)
 
     defect, rel = _batch_defects(exponents, x[None, :r], x[None, r:])
     current, raw = float(rel[0]), float(defect[0])
@@ -215,13 +289,15 @@ def _ascend(exponents, a, b, steps: int, step_size: float):
         coords, moved = np.arange(width).repeat(2)[live], moved[live]
         improved = False
         while coords.size:
-            block = np.repeat(x[None, :], coords.size, axis=0)
-            block[np.arange(coords.size), coords] = moved
+            n = min(coords.size, size)
+            block = np.repeat(x[None, :], n, axis=0)
+            block[np.arange(n), coords[:n]] = moved[:n]
             defect, rel = _batch_defects(exponents, block[:, :r], block[:, r:])
             wins = np.flatnonzero(rel > current)
             if wins.size == 0:
-                evals += coords.size
-                break
+                evals += n
+                coords, moved = coords[n:], moved[n:]
+                continue
             k = int(wins[0])
             evals += k + 1
             current, raw, x = float(rel[k]), float(defect[k]), block[k]
@@ -244,14 +320,19 @@ def hunt(config: SearchConfig, threads: int = 1) -> SearchOutcome:
     rescales power sums outside the double range, so the defects are
     finite for every ``r``; were the best not, ``ValueError`` is raised.
 
-    The lattice's integer levels are drawn whole; their float values and
-    log-uniform scales are made per block of _BLOCK_ROWS rows, in the
-    order of ``grid_rng``'s stream. A sweep chunk draws its profiles a
-    and then b: a comes block by block from the chunk's generator, and b
-    from a second generator on the same seed, advanced past a's
-    rows * r doubles (``_sweep_blocks``). Each block is scanned on its
-    own and the block bests merge first-best, which picks the row one
-    argmax over the whole chunk would pick.
+    Every stage goes through the kernel in blocks of at most _BLOCK_ROWS
+    rows and _BLOCK_ELEMENTS numbers (``_block_rows``), so a stage holds
+    one block of points at a time (one per worker in the sweep), and only
+    a full-product lattice holds all its integer levels. A subsampled
+    lattice's levels and its log-uniform scales are drawn block by block
+    from two generators on ``grid_ss`` (``_grid_stage``). A sweep chunk
+    draws its profiles a and then b: a comes block by block from the
+    chunk's generator, and b from a second generator on the same seed,
+    advanced past a's rows * r doubles (``_sweep_blocks``). Each block
+    is scanned on its own and the block bests merge first-best, which
+    picks the row one argmax over the whole stage would pick. The draws,
+    and so the results, are bit for bit those of drawing each stage
+    whole.
     """
     sig = GradingSignature(config.r)
     exps = np.asarray(sig.exponents, dtype=float)
@@ -262,15 +343,8 @@ def hunt(config: SearchConfig, threads: int = 1) -> SearchOutcome:
     candidates: list[_Best] = []
 
     # stage 1: lattice rescaled by log-uniform magnitudes
-    grid_rng = np.random.default_rng(grid_ss)
-    levels, values = _grid_lattice(config.r, config.grid_resolution, grid_rng)
-    scales = _log_uniform_blocks(grid_rng, levels.shape[0], 2 * config.r)
-    grid_best = _Best()
-    for start, scale in zip(range(0, levels.shape[0], _BLOCK_ROWS), scales):
-        pts = values[levels[start : start + _BLOCK_ROWS]]
-        pts *= scale
-        _scan_block(exps, pts[:, : config.r], pts[:, config.r :], grid_best)
-    evaluated += levels.shape[0]
+    grid_best, grid_points = _grid_stage(exps, config.grid_resolution, grid_ss)
+    evaluated += grid_points
     candidates.append(grid_best)
 
     # stage 2: random sweep in fixed chunks so thread count is irrelevant

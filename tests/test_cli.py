@@ -215,6 +215,20 @@ def test_hunt_non_finite_defect_is_an_error_not_a_violation(capsys, monkeypatch,
     assert "Infinity" not in err
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 1.49 GiB", ""])
+def test_hunt_out_of_memory_is_a_usage_error_not_a_violation(capsys, monkeypatch, message):
+    # exit 1 means a violation; running out of memory is exit 2 with one
+    # error line and no traceback
+    def no_memory(config, threads=1):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(numeric_search, "hunt", no_memory)
+    code, stdout, err = run(capsys, "hunt", "--r", "1000", "--samples", "2000")
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {message or 'out of memory'}\n"
+
+
 @pytest.mark.parametrize(
     "r, mode, threads",
     [

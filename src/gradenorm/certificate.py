@@ -46,10 +46,22 @@ e_i - s, so (b) is e_i (2r - k) >= 2r (e_i - s), that is e_i k <= 2r s.
 This holds by algebra for every in-range line, not only the builder's.
 Orbits come from ``expansion``, so no ``Fraction`` is built.
 ``check_line`` takes the binomials of (a) from ``binom``;
-``check_certificate`` and the report take them from one row of C(2r, k)
-per call and one row of C(e_i, s) per level, built by the exact
-recurrence C(n, s+1) = C(n, s)(n - s)/(s + 1), so no table outlives a
-call. Both make the same comparisons, in one line predicate.
+``check_certificate`` and the report walk the certificate's columns level
+by level and take them from one row of C(2r, k) per call and one row of
+C(e_i, s) per level, built by the exact recurrence
+C(n, s+1) = C(n, s)(n - s)/(s + 1), so no table outlives a call. Both
+make the same comparisons, in one line predicate.
+
+Storage. A ``Certificate`` is the checker's own form: three int columns,
+``levels``, ``splits`` and ``targets``. The builder and
+``certificate_from_json`` fill them directly, and a certificate built
+from ``CertificateLine``s reads them off once. The checker, the report
+and ``certificate_to_json`` read the columns alone, whichever way the
+certificate was built, so a valid certificate costs no object per line.
+``Certificate.lines`` builds the ``CertificateLine`` tuple on first read
+and keeps it; a ``Violation`` carries a ``CertificateLine`` built for
+the one line it names.
+
 The builder is untrusted by design: whatever it returns is re-checked.
 It targets each orbit at k = floor(n s / e) with n = 2r and
 e = e_i <= n. That k passes (a): k >= s and n - k >= n (e - s) / e >=
@@ -139,15 +151,43 @@ class CertificateLine:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Certificate:
-    """A complete assignment of left orbits to right orbits for length r."""
+    """A complete assignment of left orbits to right orbits for length r,
+    stored as three int columns: line j is (levels[j], splits[j],
+    targets[j]). ``Certificate(r, lines)`` reads the columns off the lines
+    once; ``lines`` builds the ``CertificateLine`` tuple on first read and
+    keeps it. Equality and hash compare r and the columns, that is r and
+    the lines."""
 
     r: int
-    lines: tuple[CertificateLine, ...]
+    levels: tuple[int, ...]
+    splits: tuple[int, ...]
+    targets: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lines", tuple(self.lines))
+    def __init__(self, r: int, lines: tuple[CertificateLine, ...]) -> None:
+        lines = tuple(lines)
+        self._set(r, *(tuple(map(attrgetter(f), lines)) for f in _FIELDS), lines)
+
+    @classmethod
+    def _from_columns(cls, r: int, levels, splits, targets) -> Certificate:
+        cert = cls.__new__(cls)
+        cert._set(r, tuple(levels), tuple(splits), tuple(targets), None)
+        return cert
+
+    def _set(self, *values) -> None:
+        for name, value in zip(("r", "levels", "splits", "targets", "_lines"), values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def lines(self) -> tuple[CertificateLine, ...]:
+        if self._lines is None:
+            lines = tuple(map(CertificateLine, self.levels, self.splits, self.targets))
+            object.__setattr__(self, "_lines", lines)
+        return self._lines
+
+    def __repr__(self) -> str:
+        return f"Certificate(r={self.r!r}, lines={self.lines!r})"
 
 
 @dataclass(frozen=True)
@@ -182,6 +222,13 @@ def _binom_row(n: int, top: int) -> list[int]:
     for s in range(top):
         row[s + 1] = row[s] * (n - s) // (s + 1)
     return row
+
+
+def _by_level(cert: Certificate):
+    """The lines as (i, s, k), level by level: in place when the levels
+    already ascend, otherwise sorted."""
+    triples = zip(cert.levels, cert.splits, cert.targets)
+    return triples if list(cert.levels) == sorted(cert.levels) else sorted(triples)
 
 
 def _line_reason(r: int, e: int, s: int, k: int, c_orbit: int, c_slot: int) -> str | None:
@@ -223,26 +270,29 @@ def check_certificate(sig: GradingSignature, cert: Certificate) -> CheckReport:
     does a certificate for another length. Violations are listed as
     duplicates, missing orbits, slot conflicts, then per line in order.
     """
-    r, exponents, lines = sig.r, sig.exponents, cert.lines
+    r, exponents = sig.r, sig.exponents
     if cert.r != r:
         raise ValueError(f"certificate is for r={cert.r}, signature has r={r}")
-    levels, splits, targets = (list(map(attrgetter(f), lines)) for f in _FIELDS)
+    levels, splits, targets = cert.levels, cert.splits, cert.targets
     # the first line with an index out of range; s <= e_i // 2 is s <= r + 1 - i
-    for line, i, s, k in zip(lines, levels, splits, targets):
+    for i, s, k in zip(levels, splits, targets):
         if not (1 <= i <= r and 1 <= s <= r + 1 - i and 1 <= k <= r):
-            check_line(sig, line)  # raises
+            check_line(sig, CertificateLine(i, s, k))  # raises
 
     # sets as long as the lines mean that no orbit and no slot repeats
+    n = len(levels)
     seen_orbits = set(zip(levels, splits))
     duplicates, conflicts = [], []
-    if len(seen_orbits) < len(lines) or len(set(zip(targets, levels))) < len(lines):
+    if len(seen_orbits) < n or len(set(zip(targets, levels))) < n:
         orbits, slots = set(), set()
-        for line, i, s, k in zip(lines, levels, splits, targets):
+        for i, s, k in zip(levels, splits, targets):
             if (i, s) in orbits:
                 detail = f"duplicate line for orbit (i={i}, s={s})"
+                line = CertificateLine(i, s, k)
                 duplicates.append(Violation(line, REASON_INCOMPLETE, detail))
             if (k, i) in slots:
                 detail = f"slot (k={k}, i={i}) already spent"
+                line = CertificateLine(i, s, k)
                 conflicts.append(Violation(line, REASON_SLOT_CONFLICT, detail))
             orbits.add((i, s))
             slots.add((k, i))
@@ -257,8 +307,7 @@ def check_certificate(sig: GradingSignature, cert: Certificate) -> CheckReport:
     c_slots = _binom_row(2 * r, r)
     failed = {}
     level = 0
-    triples = zip(levels, splits, targets)
-    for i, s, k in triples if levels == sorted(levels) else sorted(triples):
+    for i, s, k in _by_level(cert):
         if i != level:
             level, e = i, exponents[i - 1]
             c_orbits = _binom_row(e, e // 2)
@@ -267,9 +316,9 @@ def check_certificate(sig: GradingSignature, cert: Certificate) -> CheckReport:
             failed[i, s, k] = reason
     per_line = []
     if failed:
-        for line, key in zip(lines, zip(levels, splits, targets)):
+        for key in zip(levels, splits, targets):
             if key in failed:
-                per_line.append(Violation(line, failed[key]))
+                per_line.append(Violation(CertificateLine(*key), failed[key]))
     violations = duplicates + missing + conflicts + per_line
     return CheckReport(valid=not violations, violations=tuple(violations))
 
@@ -288,8 +337,12 @@ def search_certificate(sig: GradingSignature) -> Certificate:
     ``check_certificate`` agrees.
     """
     two_r = 2 * sig.r
-    return Certificate(
-        sig.r, tuple(CertificateLine(i, s, two_r * s // e) for i, e, s in orbit_triples(sig))
+    # three passes over the orbits, so that no per-line tuple stays alive
+    return Certificate._from_columns(
+        sig.r,
+        [i for i, _, _ in orbit_triples(sig)],
+        [s for _, _, s in orbit_triples(sig)],
+        [two_r * s // e for _, e, s in orbit_triples(sig)],
     )
 
 
@@ -346,8 +399,7 @@ def certificate_to_report(sig: GradingSignature, cert: Certificate) -> ProofRepo
     rows_at = [[] for _ in range(r + 1)]
     terms_at = [[] for _ in range(r + 1)]
     level = 0
-    for line in sorted(cert.lines, key=attrgetter("level")):
-        i, s, k = line.level, line.split, line.target
+    for i, s, k in _by_level(cert):
         if i != level:
             level, e = i, exponents[i - 1]
             c_orbits = _binom_row(e, e // 2)
@@ -382,8 +434,8 @@ def _line_to_json(line: CertificateLine) -> dict:
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    lines = [{"i": ln.level, "s": ln.split, "k": ln.target} for ln in cert.lines]
-    return {"r": cert.r, "lines": lines}
+    columns = zip(cert.levels, cert.splits, cert.targets)
+    return {"r": cert.r, "lines": [{"i": i, "s": s, "k": k} for i, s, k in columns]}
 
 
 def certificate_from_json(obj: Any) -> Certificate:
@@ -395,6 +447,17 @@ def certificate_from_json(obj: Any) -> Certificate:
     raw_lines = obj["lines"]
     if not isinstance(raw_lines, list):
         raise ValueError("'lines' must be a list")
+    # plain dicts of plain positive ints fill the columns directly
+    if set(map(type, raw_lines)) <= {dict}:
+        try:
+            columns = [[row[key] for row in raw_lines] for key in "isk"]
+        except KeyError:
+            pass
+        else:
+            if all(set(map(type, c)) <= {int} and min(c, default=1) > 0 for c in columns):
+                return Certificate._from_columns(r, *columns)
+    # anything else goes line by line, and the first malformed row raises
+    # with ``CertificateLine``'s own text
     lines = []
     for row in raw_lines:
         if not isinstance(row, dict) or "i" not in row or "s" not in row or "k" not in row:

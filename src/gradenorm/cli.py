@@ -193,12 +193,13 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     sig = GradingSignature(args.r)
     cert = search_certificate(sig)
     report = certificate_to_report(sig, cert)  # re-checks before rendering
+    cert_json = certificate_to_json(cert) if args.out or args.json else None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(certificate_to_json(cert), fh, indent=2)
+            json.dump(cert_json, fh, indent=2)
             fh.write("\n")
     if args.json:
-        _emit({"certificate": certificate_to_json(cert), "report": report.to_json()})
+        _emit({"certificate": cert_json, "report": report.to_json()})
     else:
         print(report.render_text())
     return 0

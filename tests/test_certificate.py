@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import math
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -23,6 +25,7 @@ from gradenorm.certificate import (
     check_line,
     search_certificate,
 )
+from gradenorm.cli import main
 from gradenorm.exactmath import ExponentPair, binom, majorizes
 from gradenorm.expansion import lhs_orbits
 from gradenorm.graded_space import GradingSignature
@@ -336,6 +339,10 @@ def tamper(rng, sig, lines):
     return tuple(lines)
 
 
+def _sha256_lines(texts):
+    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
+
+
 def outcome(check, sig, cert):
     try:
         return check(sig, cert)
@@ -366,6 +373,42 @@ def test_checker_matches_per_line_reference_on_seeded_tamperings(r):
     assert check_certificate(sig, cert) == reference_check(sig, cert)
 
 
+def tampered_certificates():
+    """Ten seeded tamperings per seed and length, r = 3..12, each built
+    from lines and, for the same lines, parsed from JSON."""
+    for r in range(3, 13):
+        sig = GradingSignature(r)
+        base = search_certificate(sig).lines
+        for seed in range(4):
+            rng = random.Random(7000 + 100 * seed + r)
+            for _ in range(10):
+                lines = tamper(rng, sig, base)
+                rows = [{"i": ln.level, "s": ln.split, "k": ln.target} for ln in lines]
+                yield sig, Certificate(r, lines), certificate_from_json({"r": r, "lines": rows})
+
+
+def test_check_reports_of_seeded_tamperings_are_pinned():
+    # digest recorded before certificates were stored as int columns
+    texts = {"lines": [], "json": []}
+    for sig, from_lines, from_json in tampered_certificates():
+        for key, cert in (("lines", from_lines), ("json", from_json)):
+            got = outcome(check_certificate, sig, cert)
+            texts[key].append(got if isinstance(got, str) else json.dumps(got.to_json()))
+    assert len(texts["lines"]) == 400
+    assert texts["json"] == texts["lines"]
+    assert (
+        _sha256_lines(texts["lines"])
+        == "aafe9133bec6b53db0c42a5724ec8474f4f792db5e1dba24f3790bf4d979e5c9"
+    )
+
+
+def test_violations_name_lines_equal_to_the_input_lines_in_order():
+    for sig, from_lines, from_json in tampered_certificates():
+        expected = outcome(reference_check, sig, from_lines)
+        assert outcome(check_certificate, sig, from_lines) == expected
+        assert outcome(check_certificate, sig, from_json) == expected
+
+
 def test_binomial_rows_equal_math_comb():
     for n in range(401):
         assert certificate_mod._binom_row(n, n) == [math.comb(n, s) for s in range(n + 1)]
@@ -391,6 +434,21 @@ def test_check_certificate_makes_no_per_line_binom_call(monkeypatch):
     assert check_certificate(sig, cert).valid
     assert len(calls) <= sig.r + 1  # at most one per row, none per line
     assert len(cert.lines) == 20100
+
+
+def test_shuffled_certificate_is_checked_and_reported_level_by_level(monkeypatch):
+    # one row of C(e_i, s) per level, and the groups list their lines by level
+    sig = GradingSignature(30)
+    cert = search_certificate(sig)
+    lines = list(cert.lines)
+    random.Random(30).shuffle(lines)
+    shuffled = Certificate(sig.r, lines)
+    rows = []
+    real_row = certificate_mod._binom_row
+    monkeypatch.setattr(certificate_mod, "_binom_row", lambda n, t: rows.append(n) or real_row(n, t))
+    assert check_certificate(sig, shuffled).valid
+    assert len(rows) == sig.r + 1
+    assert certificate_to_report(sig, shuffled) == certificate_to_report(sig, cert)
 
 
 def test_check_certificate_r_mismatch():
@@ -479,10 +537,6 @@ def test_search_json_is_pinned_for_r_up_to_60():
         hashlib.sha256(blob.encode()).hexdigest()
         == "c0e3b40842895cf52128d56d5e6e87b778eeb6394c4b3bea692e20058be4a3c4"
     )
-
-
-def _sha256_lines(texts):
-    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
 
 
 def test_report_json_and_text_are_pinned_for_r_up_to_60():
@@ -630,3 +684,117 @@ def test_certificate_json_matches_documented_schema():
 def test_certificate_json_rejects_malformed(payload):
     with pytest.raises(ValueError):
         certificate_from_json(payload)
+
+
+# The first malformed row names itself; texts recorded before certificates
+# were stored as int columns. The row sits between a valid row and two
+# other malformed rows.
+MALFORMED_ROWS = [
+    *(
+        ({"i": 1, "s": 1, "k": 1, key: value}, f"{name} must be a positive integer, got {text}")
+        for key, name in (("i", "level"), ("s", "split"), ("k", "target"))
+        for value, text in (
+            (True, "True"),
+            (False, "False"),
+            (1.0, "1.0"),
+            (2.5, "2.5"),
+            (0, "0"),
+            (-1, "-1"),
+            ("1", "'1'"),
+            (None, "None"),
+        )
+    ),
+    ({"i": 1, "s": 1}, "certificate line needs keys 'i', 's', 'k': {'i': 1, 's': 1}"),
+    ({"s": 1, "k": 1}, "certificate line needs keys 'i', 's', 'k': {'s': 1, 'k': 1}"),
+    ([1, 1, 1], "certificate line needs keys 'i', 's', 'k': [1, 1, 1]"),
+    ("row", "certificate line needs keys 'i', 's', 'k': 'row'"),
+    (None, "certificate line needs keys 'i', 's', 'k': None"),
+    (3, "certificate line needs keys 'i', 's', 'k': 3"),
+]
+
+
+def with_malformed_row(row, *after):
+    return {"r": 3, "lines": [{"i": 1, "s": 1, "k": 1}, row, *after]}
+
+
+@pytest.mark.parametrize("after", [(), ({"i": -7, "s": 1, "k": 1}, {"i": 1})])
+@pytest.mark.parametrize("row, message", MALFORMED_ROWS)
+def test_certificate_json_names_the_first_malformed_row(row, message, after):
+    with pytest.raises(ValueError) as info:
+        certificate_from_json(with_malformed_row(row, *after))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("row, message", MALFORMED_ROWS)
+def test_check_of_a_malformed_row_is_a_usage_error_naming_it(capsys, tmp_path, row, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(with_malformed_row(row)), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_certificate_json_accepts_int_subclasses_as_certificate_line_does():
+    class Index(int):
+        pass
+
+    rows = [{"i": Index(1), "s": 1, "k": Index(1)}]
+    cert = certificate_from_json({"r": 1, "lines": rows})
+    assert cert == Certificate(1, (CertificateLine(1, 1, 1),))
+    assert check_certificate(GradingSignature(1), cert).valid
+
+
+# ---------------------------------------------------------------------------
+# storage: three int columns, whichever way the certificate was built
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("r", [1, 5, 12, 40])
+def test_certificates_built_three_ways_are_equal(r):
+    searched = search_certificate(GradingSignature(r))
+    parsed = certificate_from_json(json.loads(json.dumps(certificate_to_json(searched))))
+    columns = (searched.levels, searched.splits, searched.targets)
+    lines = tuple(CertificateLine(i, s, k) for i, s, k in zip(*columns))
+    from_lines = Certificate(r, lines)
+    for cert in (searched, parsed):
+        assert cert == from_lines and from_lines == cert
+        assert hash(cert) == hash(from_lines)
+        assert cert.lines == lines
+        assert repr(cert) == repr(from_lines)
+    assert from_lines.lines is lines
+    assert (from_lines.levels, from_lines.splits, from_lines.targets) == columns
+    assert len({searched, parsed, from_lines}) == 1
+    assert searched != Certificate(r, lines[:-1]) and searched != Certificate(r + 1, lines)
+
+
+def test_certificate_lines_are_built_once_and_the_certificate_is_frozen():
+    cert = search_certificate(GradingSignature(6))
+    assert cert.lines is cert.lines
+    assert repr(cert).startswith("Certificate(r=6, lines=(CertificateLine(level=1, split=1")
+    with pytest.raises(AttributeError):
+        cert.r = 7
+    with pytest.raises(AttributeError):
+        cert.levels = ()
+
+
+def test_certificate_pickles_and_copies_by_value():
+    cert = search_certificate(GradingSignature(9))
+    for twin in (pickle.loads(pickle.dumps(cert)), copy.copy(cert), copy.deepcopy(cert)):
+        assert twin == cert and twin.lines == cert.lines
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prove", "--r", "12", "--json"],
+        ["check", str(FIXTURES / "cert_r5.json")],
+        ["report", str(FIXTURES / "cert_r5.json"), "--json"],
+        ["report", str(FIXTURES / "cert_r5.json")],
+    ],
+)
+def test_exact_commands_build_no_certificate_line(monkeypatch, capsys, argv):
+    # a valid certificate is built, checked and rendered from its columns
+    def no_line(line):
+        raise AssertionError(f"{line} built")
+
+    monkeypatch.setattr(CertificateLine, "__post_init__", no_line)
+    assert main(argv) == 0
+    assert capsys.readouterr().out

@@ -57,6 +57,16 @@ def test_prove_json_mode_is_parseable(capsys):
     assert [g["k"] for g in payload["report"]["groups"]] == [1, 2, 3, 4]
 
 
+def test_prove_builds_the_certificate_json_once_for_out_and_json(capsys, tmp_path, monkeypatch):
+    calls = []
+    real = cli_mod.certificate_to_json
+    monkeypatch.setattr(cli_mod, "certificate_to_json", lambda c: calls.append(c) or real(c))
+    out = tmp_path / "cert.json"
+    code, stdout, _ = run(capsys, "prove", "--r", "5", "--out", str(out), "--json")
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out.read_text()) == json.loads(stdout)["certificate"] == real(calls[0])
+
+
 @pytest.mark.parametrize("r", [1, 5, 6, 8])
 def test_prove_check_round_trip(capsys, tmp_path, r):
     out = tmp_path / f"cert_{r}.json"

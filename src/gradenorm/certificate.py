@@ -447,20 +447,15 @@ def certificate_from_json(obj: Any) -> Certificate:
     raw_lines = obj["lines"]
     if not isinstance(raw_lines, list):
         raise ValueError("'lines' must be a list")
-    # plain dicts of plain positive ints fill the columns directly
-    if set(map(type, raw_lines)) <= {dict}:
-        try:
-            columns = [[row[key] for row in raw_lines] for key in "isk"]
-        except KeyError:
-            pass
-        else:
-            if all(set(map(type, c)) <= {int} and min(c, default=1) > 0 for c in columns):
-                return Certificate._from_columns(r, *columns)
-    # anything else goes line by line, and the first malformed row raises
-    # with ``CertificateLine``'s own text
-    lines = []
+    levels, splits, targets = [], [], []
     for row in raw_lines:
         if not isinstance(row, dict) or "i" not in row or "s" not in row or "k" not in row:
             raise ValueError(f"certificate line needs keys 'i', 's', 'k': {row!r}")
-        lines.append(CertificateLine(row["i"], row["s"], row["k"]))
-    return Certificate(r, tuple(lines))
+        i, s, k = row["i"], row["s"], row["k"]
+        if not (type(i) is int and type(s) is int and type(k) is int and i > 0 and s > 0 and k > 0):
+            # ``CertificateLine`` raises its own text, or accepts an int subclass
+            CertificateLine(i, s, k)
+        levels.append(i)
+        splits.append(s)
+        targets.append(k)
+    return Certificate._from_columns(r, levels, splits, targets)

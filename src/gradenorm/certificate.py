@@ -79,12 +79,10 @@ coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import attrgetter
-from typing import Any
 
-from .exactmath import GradingSignature, binom
+from .exactmath import FrozenValue, GradingSignature, binom
 from .expansion import orbit_triples, scaled_shadow
 
 # The rational-exponent definitions the checker reproduces in integers.
@@ -132,14 +130,18 @@ class InvalidCertificateError(ValueError):
     certificate for another length."""
 
 
-@dataclass(frozen=True)
-class CertificateLine:
+class CertificateLine(FrozenValue):
     """One grouped comparison: left orbit (level, split) bounded by the
     shadow slot of right-hand orbit ``target``."""
 
-    level: int
-    split: int
-    target: int
+    __match_args__ = _FIELDS
+
+    def __init__(self, level: int, split: int, target: int) -> None:
+        put = object.__setattr__
+        put(self, "level", level)
+        put(self, "split", split)
+        put(self, "target", target)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         i, s, k = self.level, self.split, self.target
@@ -151,8 +153,7 @@ class CertificateLine:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Certificate:
+class Certificate(FrozenValue):
     """A complete assignment of left orbits to right orbits for length r,
     stored as three int columns: line j is (levels[j], splits[j],
     targets[j]). ``Certificate(r, lines)`` reads the columns off the lines
@@ -160,10 +161,7 @@ class Certificate:
     keeps it. Equality and hash compare r and the columns, that is r and
     the lines."""
 
-    r: int
-    levels: tuple[int, ...]
-    splits: tuple[int, ...]
-    targets: tuple[int, ...]
+    __match_args__ = ("r", "levels", "splits", "targets")
 
     def __init__(self, r: int, lines: tuple[CertificateLine, ...]) -> None:
         lines = tuple(lines)
@@ -190,17 +188,23 @@ class Certificate:
         return f"Certificate(r={self.r!r}, lines={self.lines!r})"
 
 
-@dataclass(frozen=True)
-class Violation:
-    line: CertificateLine | None
-    reason: str
-    detail: str = ""
+class Violation(FrozenValue):
+    __match_args__ = ("line", "reason", "detail")
+
+    def __init__(self, line: CertificateLine | None, reason: str, detail: str = "") -> None:
+        put = object.__setattr__
+        put(self, "line", line)
+        put(self, "reason", reason)
+        put(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    valid: bool
-    violations: tuple[Violation, ...]
+class CheckReport(FrozenValue):
+    __match_args__ = ("valid", "violations")
+
+    def __init__(self, valid: bool, violations: tuple[Violation, ...]) -> None:
+        put = object.__setattr__
+        put(self, "valid", valid)
+        put(self, "violations", violations)
 
     def to_json(self) -> dict:
         return {
@@ -360,16 +364,19 @@ def _symmetric_display(c: int, a: str, b: str, hi: int, lo: int) -> str:
     return f"{c}({a}^{hi} {b}^{lo} + {a}^{lo} {b}^{hi})"
 
 
-@dataclass(frozen=True)
-class ProofReport:
+class ProofReport(FrozenValue):
     """A valid certificate grouped by target k. Each group is the dict its
     JSON carries: ``k``, ``rhs_coefficient`` (C(2r, k)), ``is_middle``
     (k = r), ``display`` (the comparison as text) and ``lines`` (a tuple
     of line records ``i``, ``s``, ``coefficient``, ``orbit_exponents``,
     ``shadow_exponents``)."""
 
-    r: int
-    groups: tuple[dict, ...]
+    __match_args__ = ("r", "groups")
+
+    def __init__(self, r: int, groups: tuple[dict, ...]) -> None:
+        put = object.__setattr__
+        put(self, "r", r)
+        put(self, "groups", groups)
 
     def render_text(self) -> str:
         out = [f"triangle-inequality certificate, length r = {self.r}"]
@@ -438,7 +445,7 @@ def certificate_to_json(cert: Certificate) -> dict:
     return {"r": cert.r, "lines": [{"i": i, "s": s, "k": k} for i, s, k in columns]}
 
 
-def certificate_from_json(obj: Any) -> Certificate:
+def certificate_from_json(obj: object) -> Certificate:
     if not isinstance(obj, dict) or "r" not in obj or "lines" not in obj:
         raise ValueError("certificate JSON needs keys 'r' and 'lines'")
     r = obj["r"]

@@ -11,7 +11,11 @@ hunt sweep.
 
 numpy, ``graded_space`` and ``numeric_search`` are imported inside the
 handlers that compute floats (norm, dilate, triangle-sample, hunt), so
-prove, check and report run on the exact modules alone.
+prove, check and report run on the exact modules alone. Those commands
+and --version import no numpy, dataclasses, inspect or typing: this
+module needs argparse, json, os and sys, and the exact core math,
+fractions, operator and collections.abc (tests/test_trusted_core.py
+and the CI workflow check this).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Sequence
+from collections.abc import Sequence
 
 from . import __version__
 from .certificate import (
@@ -57,7 +61,7 @@ def _threads() -> int:
     return max(1, min(value, 64))
 
 
-def _load_json(path: str | None) -> Any:
+def _load_json(path: str | None) -> object:
     if path is None:
         return json.load(sys.stdin)
     with open(path, "r", encoding="utf-8") as fh:
@@ -69,7 +73,7 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
-def _emit(obj: Any) -> None:
+def _emit(obj: object) -> None:
     print(json.dumps(obj, allow_nan=False))
 
 

@@ -42,10 +42,9 @@ lives in ``numeric_search``.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import ExponentPair, GradingSignature, binom, ratio_to_str
+from .exactmath import ExponentPair, FrozenValue, GradingSignature, binom, ratio_to_str
 
 __all__ = [
     "TermOrbit",
@@ -61,24 +60,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TermOrbit:
+class TermOrbit(FrozenValue):
     """A folded left-hand cross term: c (a_i^{e_i-s} b_i^s + a_i^s b_i^{e_i-s})
     for s < e_i/2, or the single term c a_i^{e_i/2} b_i^{e_i/2} when middle."""
 
-    level: int
-    split: int
-    coefficient: int
-    is_middle: bool
+    __match_args__ = ("level", "split", "coefficient", "is_middle")
+
+    def __init__(self, level: int, split: int, coefficient: int, is_middle: bool) -> None:
+        put = object.__setattr__
+        put(self, "level", level)
+        put(self, "split", split)
+        put(self, "coefficient", coefficient)
+        put(self, "is_middle", is_middle)
 
 
-@dataclass(frozen=True)
-class ShadowPair:
+class ShadowPair(FrozenValue):
     """Hölder shadow exponents of right-hand orbit k at level i."""
 
-    k: int
-    level: int
-    exponents: ExponentPair
+    __match_args__ = ("k", "level", "exponents")
+
+    def __init__(self, k: int, level: int, exponents: ExponentPair) -> None:
+        put = object.__setattr__
+        put(self, "k", k)
+        put(self, "level", level)
+        put(self, "exponents", exponents)
 
 
 def orbit_triples(sig: GradingSignature) -> Iterator[tuple[int, int, int]]:

@@ -1,7 +1,9 @@
 """The exact core (exactmath, expansion, certificate) and the commands
 built on it alone (check, prove, report, --version) must run without
-numpy and without the float modules, and check, prove and report build
-no Fraction; the package exports every public name lazily."""
+numpy, the float modules, dataclasses and inspect, and check, prove and
+report build no Fraction; the package exports every public name lazily.
+The core's value classes keep the behaviour they had as frozen
+dataclasses."""
 
 import copy
 import json
@@ -60,7 +62,13 @@ def test_exact_commands_do_not_load_numpy():
         f"codes = [main(argv) for argv in {argvs!r}]\n"
         "assert codes == [0, 0, 0, 0], codes\n"
     )
-    result = run_python(source + _ASSERT_FLOAT_FREE)
+    # the value classes are plain classes: no dataclass machinery either
+    # (typing is not asserted: a site .pth hook may load it first)
+    no_dataclasses = (
+        "slow = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "assert not slow, f'loaded {slow}'\n"
+    )
+    result = run_python(source + _ASSERT_FLOAT_FREE + no_dataclasses)
     assert result.returncode == 0, result.stderr
     # the commands really ran: three JSON documents and the version line
     *documents, version = result.stdout.splitlines()

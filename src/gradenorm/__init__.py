@@ -39,6 +39,8 @@ _EXPORTS = {
     "certificate_to_report": "certificate",
     "certificate_to_json": "certificate",
     "certificate_from_json": "certificate",
+    "InvalidCertificateError": "certificate",
+    "REASONS": "certificate",
     "GradedVector": "graded_space",
     "ScalarProfile": "graded_space",
     "hnorm": "graded_space",

@@ -137,20 +137,15 @@ class CertificateLine(FrozenValue):
     __match_args__ = _FIELDS
 
     def __init__(self, level: int, split: int, target: int) -> None:
+        i, s, k = level, split, target
+        if not (type(i) is int and type(s) is int and type(k) is int and i > 0 and s > 0 and k > 0):
+            for name, v in zip(_FIELDS, (i, s, k)):
+                if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                    raise ValueError(f"{name} must be a positive integer, got {v!r}")
         put = object.__setattr__
-        put(self, "level", level)
-        put(self, "split", split)
-        put(self, "target", target)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        i, s, k = self.level, self.split, self.target
-        if type(i) is int and type(s) is int and type(k) is int and i > 0 and s > 0 and k > 0:
-            return
-        for name in _FIELDS:
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        put(self, "level", i)
+        put(self, "split", s)
+        put(self, "target", k)
 
 
 class Certificate(FrozenValue):
@@ -174,7 +169,7 @@ class Certificate(FrozenValue):
         return cert
 
     def _set(self, *values) -> None:
-        for name, value in zip(("r", "levels", "splits", "targets", "_lines"), values):
+        for name, value in zip((*self.__match_args__, "_lines"), values):
             object.__setattr__(self, name, value)
 
     @property

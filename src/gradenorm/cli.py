@@ -89,11 +89,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm", help="norm of a graded vector (JSON in)")
     p.add_argument("--in", dest="infile", help="vector JSON file (default stdin)")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_norm)
 
     p = sub.add_parser("dilate", help="apply the dilation of parameter t (JSON in/out)")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--in", dest="infile", help="vector JSON file (default stdin)")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_dilate)
 
     p = sub.add_parser("triangle-sample", help="triangle defect of a supplied or sampled pair")
     p.add_argument("--in", dest="infile", help='JSON file {"X": vector, "Y": vector}')
@@ -101,14 +103,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", help="comma-separated level dimensions (default 3 each)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_triangle_sample)
 
     p = sub.add_parser("prove", help="build and check a certificate for length r")
     p.add_argument("--r", type=_positive_int, required=True)
     p.add_argument("--out", help="write the certificate JSON here")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_prove)
 
     p = sub.add_parser("check", help="validate a certificate JSON file")
     p.add_argument("file")
+    p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("hunt", help="numeric counterexample hunt for length r")
     p.add_argument("--r", type=_positive_int, required=True)
@@ -117,10 +122,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_hunt)
 
     p = sub.add_parser("report", help="render a certificate as grouped comparisons")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_report)
 
     return parser
 
@@ -143,7 +150,7 @@ def _cmd_dilate(args: argparse.Namespace) -> int:
     from .graded_space import dilate, vector_from_json, vector_to_json
 
     vec = vector_from_json(_load_json(args.infile))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         scaled = dilate(args.t, vec)
     # a component that overflowed raises here and never leaves as JSON Infinity
     _emit(vector_to_json(scaled))
@@ -172,7 +179,7 @@ def _cmd_triangle_sample(args: argparse.Namespace) -> int:
     else:
         raise ValueError("provide --in or --r")
     # hnorm raises when a level length, of X + Y too, leaves the double range
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         nx, ny, nsum = hnorm(x), hnorm(y), hnorm(x + y)
     # triangle_defect(x, y), without evaluating the three norms again
     result = {
@@ -254,17 +261,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "norm": _cmd_norm,
-    "dilate": _cmd_dilate,
-    "triangle-sample": _cmd_triangle_sample,
-    "prove": _cmd_prove,
-    "check": _cmd_check,
-    "hunt": _cmd_hunt,
-    "report": _cmd_report,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -272,7 +268,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except InvalidCertificateError as exc:
         return _fail(str(exc), 1)
     except (OSError, ValueError) as exc:  # ValueError covers json.JSONDecodeError

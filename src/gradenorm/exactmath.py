@@ -24,15 +24,12 @@ Value classes. The nine immutable records of the exact core
 ``ShadowPair`` in ``expansion``, and ``CertificateLine``,
 ``Certificate``, ``Violation``, ``CheckReport`` and ``ProofReport`` in
 ``certificate``) are plain classes on ``FrozenValue``, each with its own
-``__init__``. They replace ``@dataclass(frozen=True)``, whose cost every
-exact command paid at start-up for nothing it used. In fresh
-interpreters on a 2-vCPU x86-64 VM, ``import dataclasses`` took 10-16 ms,
-most of it for ``inspect``, and the decorator's code generation for the
-nine classes another 10-17 ms. The cumulative import of ``gradenorm.cli``
-fell from 54-55 ms to 30-32 ms. ``check``, ``prove``, ``report`` and
-``--version`` now load neither module. The float side (``graded_space``,
-``numeric_search``) keeps ``@dataclass``, since numpy imports
-``inspect`` anyway.
+``__init__``. They are not dataclasses because ``import dataclasses``
+(with ``inspect``) and the decorator's code generation would be about
+half the import time of ``gradenorm.cli`` for ``check``, ``prove``,
+``report`` and ``--version``, which need neither. The float side
+(``graded_space``, ``numeric_search``) keeps ``@dataclass``, since numpy
+imports ``inspect`` anyway.
 """
 
 from __future__ import annotations

@@ -792,9 +792,9 @@ def test_certificate_pickles_and_copies_by_value():
 )
 def test_exact_commands_build_no_certificate_line(monkeypatch, capsys, argv):
     # a valid certificate is built, checked and rendered from its columns
-    def no_line(line):
-        raise AssertionError(f"{line} built")
+    def no_line(line, *fields):
+        raise AssertionError(f"CertificateLine{fields} built")
 
-    monkeypatch.setattr(CertificateLine, "__post_init__", no_line)
+    monkeypatch.setattr(CertificateLine, "__init__", no_line)
     assert main(argv) == 0
     assert capsys.readouterr().out

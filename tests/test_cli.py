@@ -15,6 +15,7 @@ from gradenorm import numeric_search
 from gradenorm.cli import main
 from gradenorm.graded_space import (
     GradingSignature,
+    ScalarProfile,
     hnorm,
     random_vector,
     triangle_defect,
@@ -199,8 +200,11 @@ def test_hunt_human_output(capsys):
     assert "no violation" in stdout
 
 
-def test_hunt_rejects_r_zero(capsys):
-    assert main(["hunt", "--r", "0"]) == 2
+@pytest.mark.parametrize("r, message", [("0", "must be >= 1, got 0"), ("x", "not an integer: 'x'")])
+def test_hunt_rejects_r_that_is_not_a_positive_integer(capsys, r, message):
+    code, stdout, err = run(capsys, "hunt", "--r", r)
+    assert (code, stdout) == (2, "")
+    assert err.endswith(f"error: argument --r: {message}\n")
 
 
 def test_hunt_rejects_negative_seed(capsys):
@@ -237,6 +241,23 @@ def test_hunt_out_of_memory_is_a_usage_error_not_a_violation(capsys, monkeypatch
     assert code == 2
     assert stdout == ""
     assert err == f"error: {message or 'out of memory'}\n"
+
+
+def test_hunt_violation_prints_both_argmax_profiles_and_exits_one(capsys, monkeypatch):
+    sig = GradingSignature(2)
+    argmax = (ScalarProfile(sig, [1.0, 0.5]), ScalarProfile(sig, [0.25, 2.0]))
+
+    def violating(config, threads=1):
+        return numeric_search.SearchOutcome(0.5, 0.25, argmax, 7, True)
+
+    monkeypatch.setattr(numeric_search, "hunt", violating)
+    code, stdout, err = run(capsys, "hunt", "--r", "2", "--seed", "3")
+    assert (code, err) == (1, "")
+    assert stdout == (
+        "VIOLATION: max relative defect 2.500e-01 over 7 evaluations (r=2, seed=3)\n"
+        "argmax a = [1.0, 0.5]\n"
+        "argmax b = [0.25, 2.0]\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -451,9 +472,14 @@ def test_triangle_sample_reports_the_library_defect_of_a_supplied_pair(capsys, t
     triangle_sample_agrees_with_the_library(stdout, x, y)
 
 
-def test_triangle_sample_needs_input_or_length(capsys):
-    code, _, _ = run(capsys, "triangle-sample")
-    assert code == 2
+def test_triangle_sample_needs_input_or_length(capsys, tmp_path):
+    assert run(capsys, "triangle-sample") == (2, "", "error: provide --in or --r\n")
+    path = write_json(tmp_path / "vector.json", {"r": 2, "components": [[1.0], [2.0]]})
+    assert run(capsys, "triangle-sample", "--in", path) == (
+        2,
+        "",
+        "error: expected JSON with keys 'X' and 'Y'\n",
+    )
 
 
 def test_triangle_sample_respects_dims(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gradenorm import numeric_search
 from gradenorm.exactmath import ExponentPair, binom
 from gradenorm.expansion import (
     lhs_orbits,
@@ -145,6 +146,11 @@ def test_orbit_exponents_and_errors():
 @pytest.mark.parametrize("r", [1, 5, 8])
 def test_pure_terms_cancel(r):
     assert pure_terms_cancel(GradingSignature(r)) is True
+
+
+def test_pure_terms_cancel_fails_on_a_wrong_norm(monkeypatch):
+    monkeypatch.setattr(numeric_search, "scalar_norm", lambda a: 1.5 * scalar_norm(a))
+    assert pure_terms_cancel(GradingSignature(3)) is False
 
 
 # ---------------------------------------------------------------------------

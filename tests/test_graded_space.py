@@ -235,9 +235,17 @@ def test_scalar_norm_r1_is_identity():
         assert scalar_norm(ScalarProfile(sig, np.array([a]))) == a
 
 
-def test_profile_rejects_negative_magnitudes():
-    with pytest.raises(ValueError):
-        ScalarProfile(GradingSignature(2), np.array([1.0, -0.5]))
+@pytest.mark.parametrize(
+    "mags, message",
+    [
+        ([1.0, -0.5], "finite and nonnegative"),
+        ([1.0], "expected 2 magnitudes, got 1"),
+        ([1.0, 2.0, 3.0], "expected 2 magnitudes, got 3"),
+    ],
+)
+def test_profile_rejects_negative_or_miscounted_magnitudes(mags, message):
+    with pytest.raises(ValueError, match=message):
+        ScalarProfile(GradingSignature(2), np.array(mags))
 
 
 def test_scalar_norm_monotone_per_coordinate():

@@ -58,6 +58,7 @@ def test_exact_commands_do_not_load_numpy():
         ["--version"],
     ]
     source = (
+        "from gradenorm import REASONS, InvalidCertificateError\n"
         "from gradenorm.cli import main\n"
         f"codes = [main(argv) for argv in {argvs!r}]\n"
         "assert codes == [0, 0, 0, 0], codes\n"

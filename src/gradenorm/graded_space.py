@@ -23,9 +23,18 @@ never enters the proof-checking path.
 
 A GradedVector copies its input once into one flat read-only float64
 array; ``components`` are per-level views into it and ``dims`` is
-stored. ``x + y``, ``-x`` and ``dilate`` are one numpy operation on the
-flat array each, and their results skip the input validation, since
-they keep the layout of a vector that already passed it.
+stored. Vectors of equal ``dims`` share one tuple of level slices from a
+table of at most 64 layouts; the component count and the level
+dimensions are still checked for every vector. ``x + y``, ``-x`` and
+``dilate`` are one numpy operation on the flat array each, and their
+results skip the input validation, since they keep the layout of a
+vector that already passed it; ``random_vector`` draws into one flat
+array and skips it too. ``triangle_defect`` and ``homogeneity_defect``
+build no vector. They form the sum or the dilated entries on the Python
+floats of ``tolist()``, the same IEEE add and multiply that numpy
+applies, so they keep the bits of ``hnorm(x + y)`` and
+``hnorm(dilate(t, x))``; an entry that overflows reaches ``_norm`` as
+inf and raises ValueError there, without a numpy warning.
 
 The norm formula has its two evaluators here. ``_norm``, behind
 ``hnorm`` and ``scalar_norm``, runs on Python floats: ``math.hypot``
@@ -53,8 +62,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 from math import hypot
+from operator import add, index
 from typing import Any, Sequence
 
 import numpy as np
@@ -94,14 +105,8 @@ class GradedVector:
 
     def __post_init__(self) -> None:
         parts = [np.asarray(c, dtype=float).ravel() for c in self.components]
-        if len(parts) != self.signature.r:
-            raise ValueError(
-                f"expected {self.signature.r} components, got {len(parts)}"
-            )
-        dims = tuple(p.size for p in parts)
-        if 0 in dims:
-            raise ValueError(f"level {dims.index(0) + 1} must have dimension >= 1")
-        levels = tuple([slice(end - d, end) for end, d in zip(accumulate(dims), dims)])
+        dims = tuple([p.size for p in parts])
+        levels = _layout(self.signature.r, dims)
         self._store(np.concatenate(parts), dims, levels)
 
     def _store(self, flat: np.ndarray, dims: tuple[int, ...], levels: tuple[slice, ...]) -> None:
@@ -112,15 +117,20 @@ class GradedVector:
         put(self, "_levels", levels)
         put(self, "components", tuple([flat[s] for s in levels]))
 
-    def _derive(self, flat: np.ndarray) -> "GradedVector":
-        """A vector over this one's space holding the fresh array ``flat``.
-
-        The layout is already validated, so ``__post_init__`` is skipped.
-        """
+    @staticmethod
+    def _wrap(
+        signature: GradingSignature, flat: np.ndarray, dims: tuple[int, ...], levels: tuple[slice, ...]
+    ) -> "GradedVector":
+        """A vector holding the fresh array ``flat`` in a layout that
+        ``_layout`` already checked, so ``__post_init__`` is skipped."""
         out = object.__new__(GradedVector)
-        object.__setattr__(out, "signature", self.signature)
-        out._store(flat, self.dims, self._levels)
+        object.__setattr__(out, "signature", signature)
+        out._store(flat, dims, levels)
         return out
+
+    def _derive(self, flat: np.ndarray) -> "GradedVector":
+        """A vector over this one's space holding the fresh array ``flat``."""
+        return GradedVector._wrap(self.signature, flat, self.dims, self._levels)
 
     def __reduce__(self) -> tuple:
         # rebuild through __init__, so that a copy's components are again
@@ -173,9 +183,27 @@ def _require_same_space(x: GradedVector, y: GradedVector) -> None:
         raise ValueError("vectors live in different graded spaces")
 
 
-def _level_norms(x: GradedVector) -> list[float]:
-    values = tuple(x._flat.tolist())  # tuple slices unpack into hypot without a copy
-    return [hypot(*values[s]) for s in x._levels]
+def _layout(r: int, dims: tuple[int, ...]) -> tuple[slice, ...]:
+    """The level slices of a flat array with ``dims``, once ``dims`` has one
+    positive dimension for each of the r levels."""
+    if len(dims) != r:
+        raise ValueError(f"expected {r} components, got {len(dims)}")
+    if min(dims) < 1:
+        level = next(i for i, d in enumerate(dims, start=1) if d < 1)
+        raise ValueError(f"level {level} must have dimension >= 1")
+    return _level_slices(dims)
+
+
+@lru_cache(maxsize=64)
+def _level_slices(dims: tuple[int, ...]) -> tuple[slice, ...]:
+    # one tuple shared by every vector of these dims; the table stays at
+    # most 64 entries whatever mix of dims a process builds
+    return tuple([slice(end - d, end) for end, d in zip(accumulate(dims), dims)])
+
+
+def _lengths(values: tuple[float, ...], levels: tuple[slice, ...]) -> list[float]:
+    """Euclidean length of each level of flat ``values``."""
+    return [hypot(*values[s]) for s in levels]  # tuple slices unpack without a copy
 
 
 def _norm(mags: list[float], exponents: tuple[int, ...]) -> float:
@@ -270,23 +298,28 @@ def scalar_defect(a: ScalarProfile, b: ScalarProfile) -> float:
 
 def scalar_profile(x: GradedVector) -> ScalarProfile:
     """Per-level Euclidean norms of a graded vector."""
-    return ScalarProfile(x.signature, np.array(_level_norms(x)))
+    return ScalarProfile(x.signature, np.array(_lengths(tuple(x._flat.tolist()), x._levels)))
 
 
 def hnorm(x: GradedVector) -> float:
     """The candidate homogeneous norm; equals scalar_norm(scalar_profile(x))."""
-    return _norm(_level_norms(x), x.signature.exponents)
+    return _norm(_lengths(tuple(x._flat.tolist()), x._levels), x.signature.exponents)
+
+
+def _dilation_powers(t: float, r: int) -> list[float]:
+    """t, t^2, ..., t^r as doubles, for a finite nonzero t."""
+    if t == 0 or not abs(t) < _INF:  # NaN fails the comparison too
+        raise ValueError(f"dilation parameter t must be finite and nonzero, got {t!r}")
+    try:
+        return [float(t ** (i + 1)) for i in range(r)]
+    except OverflowError:
+        raise ValueError(f"dilation parameter {t!r} overflows t^{r}") from None
 
 
 def dilate(t: float, x: GradedVector) -> GradedVector:
     """Scale level i by t^i. The parameter must be finite and nonzero."""
-    if t == 0 or not abs(t) < _INF:  # NaN fails the comparison too
-        raise ValueError(f"dilation parameter t must be finite and nonzero, got {t!r}")
-    try:
-        powers = np.array([t ** (i + 1) for i in range(x.signature.r)], dtype=float)
-    except OverflowError:
-        raise ValueError(f"dilation parameter {t!r} overflows t^{x.signature.r}") from None
-    return x._derive(x._flat * powers.repeat(x.dims))
+    powers = _dilation_powers(t, x.signature.r)
+    return x._derive(x._flat * np.array(powers).repeat(x.dims))
 
 
 def homogeneity_defect(x: GradedVector, t: float) -> float:
@@ -295,13 +328,22 @@ def homogeneity_defect(x: GradedVector, t: float) -> float:
     Zero (to rounding) for r <= 2 and any x, t; strictly positive
     witnesses exist for every r >= 3.
     """
-    return hnorm(dilate(t, x)) - abs(t) * hnorm(x)
+    powers = _dilation_powers(t, x.signature.r)
+    values, levels, exponents = tuple(x._flat.tolist()), x._levels, x.signature.exponents
+    # dilate's products, on Python floats
+    dilated = [hypot(*[v * p for v in values[s]]) for s, p in zip(levels, powers)]
+    return _norm(dilated, exponents) - abs(t) * _norm(_lengths(values, levels), exponents)
 
 
 def triangle_defect(x: GradedVector, y: GradedVector) -> float:
     """hnorm(x + y) - hnorm(x) - hnorm(y); nonpositive for r = 5 by the
     paper, and for every r by the per-length certificates."""
-    return hnorm(x + y) - hnorm(x) - hnorm(y)
+    _require_same_space(x, y)
+    xs, ys = x._flat.tolist(), y._flat.tolist()
+    levels, exponents = x._levels, x.signature.exponents
+    total = _norm(_lengths(tuple(map(add, xs, ys)), levels), exponents)  # x + y on Python floats
+    nx = _norm(_lengths(tuple(xs), levels), exponents)
+    return total - nx - _norm(_lengths(tuple(ys), levels), exponents)
 
 
 def random_vector(
@@ -312,15 +354,16 @@ def random_vector(
 ) -> GradedVector:
     """Standard-normal components, optionally rescaled per level by a
     log-uniform magnitude 10^u with u drawn from ``magnitude_decades``."""
-    dims = tuple(dims) if dims is not None else (3,) * signature.r
-    comps = []
-    for d in dims:
-        c = rng.standard_normal(d)
+    dims = tuple(map(index, dims)) if dims is not None else (3,) * signature.r
+    levels = _layout(signature.r, dims)
+    flat = np.empty(sum(dims))
+    for s in levels:
+        level = flat[s]
+        rng.standard_normal(out=level)
         if magnitude_decades is not None:
             lo, hi = magnitude_decades
-            c = c * 10.0 ** rng.uniform(lo, hi)
-        comps.append(c)
-    return GradedVector(signature, tuple(comps))
+            level *= 10.0 ** rng.uniform(lo, hi)
+    return GradedVector._wrap(signature, flat, dims, levels)
 
 
 # ---------------------------------------------------------------------------

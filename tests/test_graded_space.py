@@ -1,12 +1,15 @@
 import copy
+import hashlib
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradenorm import graded_space
 from gradenorm.graded_space import (
     GradedVector,
     GradingSignature,
@@ -158,6 +161,24 @@ def test_homogeneity_defect_of_an_overflowing_dilation_is_a_value_error():
     assert y.components[0][0] == np.inf
     with np.errstate(over="ignore"), pytest.raises(ValueError):
         homogeneity_defect(x, 1e10)
+
+
+@pytest.mark.parametrize(
+    "levels, defect",
+    [
+        pytest.param([[1.5e308], [1.0]], lambda x: triangle_defect(x, x), id="triangle-r2"),
+        pytest.param([[1.5e308]], lambda x: triangle_defect(x, x), id="triangle-r1"),
+        pytest.param([[1.0, 1.5e308], [1.0], [1.0]], lambda x: triangle_defect(x, x), id="triangle-r3"),
+        pytest.param([[1e300], [1.0], [1.0]], lambda x: homogeneity_defect(x, 1e10), id="homogeneity-level1"),
+        pytest.param([[1.0], [1.0], [1e300]], lambda x: homogeneity_defect(x, -1e10), id="homogeneity-level3"),
+    ],
+)
+def test_an_overflowing_defect_raises_without_a_warning(levels, defect):
+    x = GradedVector.from_components(levels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="a level length exceeds the double range"):
+            defect(x)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +376,12 @@ def test_vector_components_are_immutable():
                 built.components[level][0] = 1.0
 
 
+def assert_read_only_views_of_one_flat_array(x):
+    assert not x._flat.flags.writeable
+    assert all(c.base is x._flat and not c.flags.writeable for c in x.components)
+    assert np.array_equal(np.concatenate(x.components), x._flat)
+
+
 def test_vector_pickle_and_deepcopy_keep_flat_read_only_storage():
     x = GradedVector.from_components([[1.0, 2.0], [3.0]])
     for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
@@ -363,6 +390,70 @@ def test_vector_pickle_and_deepcopy_keep_flat_read_only_storage():
         assert hnorm(copied) == hnorm(x)
         with pytest.raises(ValueError):
             copied.components[0][0] = 5.0
+        assert_read_only_views_of_one_flat_array(copied)
+        assert copied._levels is x._levels
+
+
+def test_vectors_of_equal_dims_share_one_layout():
+    sig = GradingSignature(3)
+    built = [GradedVector.zero(sig, dims) for dims in [(2, 1, 3), (1, 3, 2)] * 3]
+    rng = np.random.default_rng(21)
+    built += [random_vector(sig, rng, dims=np.array(dims)) for dims in [(2, 1, 3), (1, 3, 2)]]
+    first, second = built[0], built[1]
+    assert first._levels == (slice(0, 2), slice(2, 3), slice(3, 6))
+    assert second._levels == (slice(0, 1), slice(1, 4), slice(4, 6))
+    for x in built:
+        assert x._levels is (first if x.dims == (2, 1, 3) else second)._levels
+        assert [c.size for c in x.components] == list(x.dims)
+        assert all(type(d) is int for d in x.dims)
+        assert_read_only_views_of_one_flat_array(x)
+    for derived in (first + first, -first, dilate(2.0, first)):
+        assert derived._levels is first._levels
+        assert_read_only_views_of_one_flat_array(derived)
+
+
+@pytest.mark.parametrize(
+    "dims, message",
+    [
+        ((2, 0, 3), "level 2 must have dimension >= 1"),
+        ((2, 1, -1), "level 3 must have dimension >= 1"),
+        ((2, 1), "expected 3 components, got 2"),
+    ],
+)
+def test_a_known_layout_does_not_skip_the_dimension_checks(dims, message):
+    sig = GradingSignature(3)
+    GradedVector.zero(sig, (2, 1, 3))
+    random_vector(sig, np.random.default_rng(22), dims=(2, 1, 3))
+    if min(dims) >= 0:
+        with pytest.raises(ValueError, match=message):
+            GradedVector.zero(sig, dims)
+    with pytest.raises(ValueError, match=message):
+        random_vector(sig, np.random.default_rng(22), dims=dims)
+
+
+def test_the_layout_table_keeps_its_size():
+    table = graded_space._level_slices
+    for d in range(1, 10_001):
+        x = GradedVector.zero(GradingSignature(2), dims=(d, 1))
+        assert x.components[0].size == d
+    assert table.cache_info().maxsize == 64
+    assert table.cache_info().currsize == 64
+
+
+def test_defects_build_no_vector(monkeypatch):
+    sig = GradingSignature(4)
+    rng = np.random.default_rng(23)
+    x, y = random_vector(sig, rng), random_vector(sig, rng)
+    expected = (triangle_defect(x, y), homogeneity_defect(x, -0.5))
+
+    def refuse(*args):
+        raise AssertionError("a vector was built")
+
+    monkeypatch.setattr(GradedVector, "__post_init__", refuse)
+    monkeypatch.setattr(GradedVector, "_wrap", staticmethod(refuse))
+    assert (triangle_defect(x, y), homogeneity_defect(x, -0.5)) == expected
+    with pytest.raises(AssertionError, match="a vector was built"):
+        x + y
 
 
 def test_vector_copies_its_input():
@@ -573,3 +664,94 @@ def test_hnorm_survives_overflow_and_underflow(levels, expected):
 def test_hnorm_rejects_levels_beyond_double_range(levels):
     with pytest.raises(ValueError):
         hnorm(GradedVector.from_components(levels))
+
+
+# ---------------------------------------------------------------------------
+# bit pins of the per-object norm and defects
+# ---------------------------------------------------------------------------
+
+# r -> one (hnorm, triangle_defect, homogeneity_defect) float.hex triple per
+# case of pinned_cases(r), then the sha256 of every case's dilate(t, x)
+# values in order
+PINNED_BITS = {
+    1: (
+        ("0x1.8e949fc4c020ep-9", "-0x1.d2060532ff5a2p-364", "0x0.0p+0"),
+        ("0x1.c08f281cbc2e9p-68", "-0x1.0c451bf3383cbp-415", "0x0.0p+0"),
+        ("0x1.b426f12a01f77p+394", "-0x1.66f169f1062a9p-398", "0x0.0p+0"),
+        ("0x1.c9b499b1b587dp+104", "-0x1.640ee7fdbe894p-167", "0x0.0p+0"),
+        ("0x1.0b0cbed0ccd0bp+4", "-0x1.a000000000000p-51", "0x0.0p+0"),
+        ("0x1.a307450090fb3p+1", "-0x1.89a851a85c136p-4", "0x0.0p+0"),
+        "a402e315024ed6d7530bbbae19c7700b26020949340b035db8492aea84426a0c",
+    ),
+    2: (
+        ("0x1.12753984695c4p+340", "-0x1.432c1f35eb21ep+235", "0x0.0p+0"),
+        ("0x1.1093163e10e85p+23", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.4c6cdce5574acp-85", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.1e4eb8370d3e9p-175", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.1b2db50eccbeap+2", "-0x1.1e7ec8ad2782cp-1", "0x0.0p+0"),
+        ("0x1.4e6818afcb9fcp+2", "-0x1.d7cf707528c40p-2", "0x0.0p+0"),
+        "802a25da0aca9799f5004e37f1e92a82b1e20f619253cbc67672c10f96b67dcc",
+    ),
+    3: (
+        ("0x1.1a4e072547610p+96", "0x0.0p+0", "0x1.0000000000000p+41"),
+        ("0x1.8cdd0feca1fc8p+447", "-0x1.4ec44c2d69d47p-96", "0x0.0p+0"),
+        ("0x1.be6a0ad33e444p+281", "-0x1.be6a000000000p+281", "0x1.0c290f64d7d90p+278"),
+        ("0x1.a53c4caabb019p+146", "0x0.0p+0", "-0x1.0000000000000p+97"),
+        ("0x1.b3d92703eac8cp-1", "-0x1.9313c93cc00a5p-1", "-0x1.1ef8caa91a700p-11"),
+        ("0x1.d3d5c37fc20adp+3", "-0x1.5257ad7285000p+0", "-0x1.a72ea9f20e3c9p-1"),
+        "856d36d69651305e59bec7ebcc70e16896fdcda0c8ac4dfb0d3a1e6fe08d475c",
+    ),
+    5: (
+        ("0x1.370ea640f5d92p+341", "-0x1.48081501d52ecp+197", "-0x1.a966fc6d8c7fep+338"),
+        ("0x1.0fb082bad2e27p+341", "-0x1.fbeb6d8fa3afbp+16", "0x0.0p+0"),
+        ("0x1.1a62059acd21ep+378", "-0x1.5c898f79f7df4p+214", "0x1.281fa884bc400p+375"),
+        ("0x1.f216942e79cedp+34", "0x0.0p+0", "0x1.0000000000000p-15"),
+        ("0x1.464b5aabd1e95p+2", "-0x1.8907acf92b6fcp+0", "-0x1.9fa659d34e760p-2"),
+        ("0x1.e45cdb7ed1465p+1", "-0x1.c2ab434ef35a7p+1", "-0x1.0ff8f7bb73d35p-2"),
+        "4254c83fd09fe26b5bdf24dc77f04cf091ed420831c0cf452f7d41e6aca21916",
+    ),
+    12: (
+        ("0x1.2f4678ab4cf9cp+424", "-0x1.0dc7c1647c48bp+377", "-0x1.bc035ecbbb35ep+420"),
+        ("0x1.725427f9a52bcp+366", "-0x1.61a8c9ee8d9edp+239", "-0x1.de214c6eac518p+364"),
+        ("0x1.f5ba03abc30c7p+80", "0x0.0p+0", "-0x1.2ea2d25d166fdp+79"),
+        ("0x1.0d9951ab89dc9p+161", "-0x1.0d9951ac00000p+161", "0x1.bbd6a360c36bfp+165"),
+        ("0x1.2f86a73d25a8cp+5", "-0x1.af87b45146c71p+3", "0x1.0000000000000p-50"),
+        ("0x1.7e3729a8ddb64p+1", "-0x1.446c449edb8a8p+1", "-0x1.4a26d1cc9f827p-2"),
+        "5262bc3ad2b68f0f8042a42acb72647f16f0258bdfc0e704a5f12586f9985b1e",
+    ),
+    24: (
+        ("0x1.4ea1dfad53626p+379", "0x0.0p+0", "-0x1.7aa439960cd00p+376"),
+        ("0x1.093a91d7686b6p+251", "0x0.0p+0", "-0x1.25ee54145bb26p+249"),
+        ("0x1.f30bdd51f5418p+296", "0x0.0p+0", "-0x1.563b474d2350cp+295"),
+        ("0x1.8d41a6ee28a2cp+309", "0x0.0p+0", "0x1.14ba7d2901281p+322"),
+        ("0x1.5e3f2fafa8a25p+5", "-0x1.2b3ca601b159cp+3", "-0x1.6e4c000000000p-31"),
+        ("0x1.6d0a7b3272b5bp+4", "-0x1.6d5346783302dp+4", "-0x1.51a886307af90p+1"),
+        "4735a59cda5e707232b57dd61bc257e50696e014c3cd96c1556e8debc7ccbbb9",
+    ),
+}
+
+
+def pinned_cases(r):
+    """Mixed dims; four cases with level magnitudes 10^U(-150, 150), which
+    send most norms through the rescaled path, then two with 10^U(-1.5, 1.5).
+    t alternates in sign, and |t| < 1 in the first two of each four."""
+    rng = np.random.default_rng(2100 + r)
+    sig = GradingSignature(r)
+    for k in range(6):
+        dims = tuple(rng.integers(1, 5, size=r).tolist())
+        decades = (-150.0, 150.0) if k < 4 else (-1.5, 1.5)
+        x = random_vector(sig, rng, dims=dims, magnitude_decades=decades)
+        y = random_vector(sig, rng, dims=dims, magnitude_decades=decades)
+        t = (-1.0) ** k * 10.0 ** rng.uniform(-1.0, 0.0 if k % 4 < 2 else 1.0)
+        yield x, y, t
+
+
+@pytest.mark.parametrize("r", sorted(PINNED_BITS))
+def test_norm_and_defects_keep_their_bits(r):
+    *rows, dilated_sha256 = PINNED_BITS[r]
+    got, digest = [], hashlib.sha256()
+    for x, y, t in pinned_cases(r):
+        got.append((hnorm(x).hex(), triangle_defect(x, y).hex(), homogeneity_defect(x, t).hex()))
+        digest.update(np.concatenate(dilate(t, x).components).tobytes())
+    assert got == rows
+    assert digest.hexdigest() == dilated_sha256

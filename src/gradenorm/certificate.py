@@ -82,7 +82,7 @@ from __future__ import annotations
 from math import gcd
 from operator import attrgetter
 
-from .exactmath import FrozenValue, GradingSignature, binom
+from .exactmath import FrozenValue, GradingSignature, _binom_row, binom
 from .expansion import orbit_triples, scaled_shadow
 
 # The rational-exponent definitions the checker reproduces in integers.
@@ -213,14 +213,6 @@ class CheckReport(FrozenValue):
                 for v in self.violations
             ],
         }
-
-
-def _binom_row(n: int, top: int) -> list[int]:
-    """C(n, 0..top) by C(n, s+1) = C(n, s)(n-s)/(s+1); every division is exact."""
-    row = [1] * (top + 1)
-    for s in range(top):
-        row[s + 1] = row[s] * (n - s) // (s + 1)
-    return row
 
 
 def _by_level(cert: Certificate):

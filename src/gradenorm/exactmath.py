@@ -5,7 +5,8 @@ majorization predicate.
 The certificate checker and report use ``GradingSignature`` and the
 ``"p/q"`` wire format of ``ratio_to_str``, which takes an integer pair,
 so they build no ``Fraction``. ``check_line`` compares ``binom`` values;
-the batch checker takes the same integers from rows built by an exact
+the batch checker, the report and ``expansion.orbit_table`` take the
+same integers from rows that ``_binom_row`` builds by an exact
 recurrence. ``ExponentPair`` and ``majorizes`` are the definition of
 majorization on rational exponents; a certificate line's two pairs have
 equal degree, so the checker tests it as one integer comparison, and
@@ -114,6 +115,14 @@ def binom(n: int, k: int) -> int:
     if k > n:
         raise ValueError(f"binom requires k <= n, got ({n}, {k})")
     return math.comb(n, k)
+
+
+def _binom_row(n: int, top: int) -> list[int]:
+    """C(n, 0..top) by C(n, s+1) = C(n, s)(n-s)/(s+1); every division is exact."""
+    row = [1] * (top + 1)
+    for s in range(top):
+        row[s + 1] = row[s] * (n - s) // (s + 1)
+    return row
 
 
 def ratio_to_str(num: int, den: int) -> str:

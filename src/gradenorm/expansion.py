@@ -30,7 +30,9 @@ defined here only. The checker and the builder walk the orbit list; the
 report, ``shadow`` and the JSON tables take the shadow from
 ``scaled_shadow``, which the checker's one-comparison majorization
 test does not need (see ``certificate``). ``rhs_table`` is the one list
-of right-hand orbits. Coefficients are big integers, and only
+of right-hand orbits. Coefficients are big integers; ``orbit_table``
+reads them from one row of C(e_i, s) per level (``exactmath._binom_row``),
+as the checker does. Only
 ``shadow`` and ``orbit_exponents`` build ``Fraction`` exponents, for the
 float side and the rational definition of majorization. Pure functions
 throughout. The module imports only ``exactmath``, so the certificate
@@ -44,7 +46,14 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .exactmath import ExponentPair, FrozenValue, GradingSignature, binom, ratio_to_str
+from .exactmath import (
+    ExponentPair,
+    FrozenValue,
+    GradingSignature,
+    _binom_row,
+    binom,
+    ratio_to_str,
+)
 
 __all__ = [
     "TermOrbit",
@@ -131,16 +140,22 @@ def orbit_exponents(sig: GradingSignature, level: int, split: int) -> ExponentPa
 # ---------------------------------------------------------------------------
 
 def orbit_table(sig: GradingSignature) -> list[dict]:
-    return [
-        {
-            "i": i,
-            "s": s,
-            "coefficient": binom(e, s),
-            "is_middle": s == e // 2,
-            "exponents": [e - s, s],
-        }
-        for i, e, s in orbit_triples(sig)
-    ]
+    """One row per left-hand orbit, its coefficient C(e_i, s) read from
+    one binomial row per level."""
+    rows, level = [], 0
+    for i, e, s in orbit_triples(sig):
+        if i != level:
+            level, coefficients = i, _binom_row(e, e // 2)
+        rows.append(
+            {
+                "i": i,
+                "s": s,
+                "coefficient": coefficients[s],
+                "is_middle": s == e // 2,
+                "exponents": [e - s, s],
+            }
+        )
+    return rows
 
 
 def rhs_table(sig: GradingSignature) -> list[dict]:

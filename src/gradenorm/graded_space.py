@@ -48,6 +48,25 @@ shift used for log-sum-exp (Blanchard, Higham & Higham, IMA J. Numer.
 Anal. 2021), which is finite for any finite level lengths. A level
 length beyond the double range raises ValueError in ``_norm``.
 
+The batch kernel skips work whose answer it knows, and keeps its bits.
+Its powers of the level lengths take their exponents as one C-contiguous
+block of the bases' shape (``_tiled``), so numpy runs one flat loop
+instead of one per row. Which other shortcut pays depends on numpy's float64 power
+loop, which ``POWER_LOOP`` names once at import
+(``numpy.lib.introspect.opt_func_info``). Under ``"X86_V4"`` (AVX-512)
+an exact zero base costs about 4 times a normal one, so bases the caller
+knows to be zero (the hunt's lattice) are raised as 1.0 and their powers
+set back to 0; under ``"baseline(X86_V2)"`` a zero costs no more, and
+the two extra passes would be a loss, so nothing is substituted. The
+hunt pins and the per-object bit pins hold the bits of one loop, so the
+tests pick their literals by ``POWER_LOOP``. A row that must overflow,
+judged from its levels' frexp exponents, goes to ``_rescaled_norms``
+without a power pass. There a level whose scaled 2r-th power is below
+2^-1022 is left out: the scaled sum holds the top level's exact 1.0, and
+a term that small is absorbed by any partial sum from about 2^-969 up,
+so it cannot change the sum, while under X86_V4 raising it to a result
+that underflows would cost about 60 ns instead of 5.
+
 The two evaluators do not agree bit for bit: on 20,000 log-uniform
 rows (10^U(-3, 3)) per length, 4-7% of the norms differ by one unit in
 the last place at every r = 2..12, 24, 47 and 60, and none at r = 1.
@@ -230,6 +249,50 @@ def _norm(mags: list[float], exponents: tuple[int, ...]) -> float:
     return float(_rescaled_norms(np.array([mags]), exponents)[0])
 
 
+def _power_loop() -> str:
+    """The target numpy dispatches its float64 ``power`` loop to, as
+    ``numpy.lib.introspect.opt_func_info`` names it: with numpy 2.4.6 on
+    x86-64, ``"X86_V4"`` (AVX-512) or ``"baseline(X86_V2)"``. A numpy
+    that does not dispatch ``power`` by CPU lists no loop for it."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy before 2.0 cannot say
+        return "unknown"
+    loops = opt_func_info(func_name="^power$", signature="float64").get("power", {})
+    return next(iter(loops.values()), {}).get("current", "not dispatched")
+
+
+# read once: the hunt pins hold the bits of one loop, and only under
+# X86_V4 does an exact zero base cost more than a normal one
+POWER_LOOP = _power_loop()
+ZERO_BASES_ARE_SLOW = POWER_LOOP == "X86_V4"
+
+_TILES: dict[bytes, np.ndarray] = {}
+
+
+def _tiled(row: np.ndarray, rows: int) -> np.ndarray:
+    """``row`` repeated down ``rows`` rows, as one C-contiguous read-only
+    block: np.power runs one flat loop over it, where a broadcast row
+    costs a loop call per row. The block is a slice of a tile shared by
+    every call with this ``row``, which grows to the most rows asked
+    for; at most 16 tiles are kept."""
+    key = row.tobytes()
+    tile = _TILES.get(key)
+    if tile is None or tile.shape[0] < rows:
+        if len(_TILES) >= 16:
+            _TILES.clear()
+        tile = np.tile(row, (rows, 1))
+        tile.setflags(write=False)
+        _TILES[key] = tile
+    return tile[:rows]
+
+
+@lru_cache(maxsize=16)
+def _root_table(two_r: int) -> np.ndarray:
+    """2^(rem/2r) for rem = 0..2r-1, each as ``2.0 ** (rem / 2r)``."""
+    return 2.0 ** (np.arange(two_r) / two_r)
+
+
 def _rescaled_norms(mags: np.ndarray, exponents: np.ndarray | Sequence[int]) -> np.ndarray:
     """max q * (sum_i (q_i / max q)^{2r})^{1/2r} with q_i = a_i^{e_i/2r},
     per row of an (N, r) block of finite level lengths.
@@ -240,20 +303,71 @@ def _rescaled_norms(mags: np.ndarray, exponents: np.ndarray | Sequence[int]) -> 
     away against 1. ``a ** (e / 2r)`` would carry the rounding of e/2r
     times |ln a|, about 2e-14 relative at a = 1e-200; splitting a = m 2^p
     leaves that ratio to act on m in [0.5, 1) and on 2^{rem/2r} with
-    rem < 2r, while ldexp applies the integer part of p e / 2r exactly.
+    rem < 2r, while ldexp applies the integer part n of p e / 2r exactly.
+    n and rem come from integer division, and 2^{rem/2r} from a table of
+    the 2r values it can take.
+
+    A scaled level below 2^{-1022/2r} is left out of the sum: its 2r-th
+    power is below 2^-1022, and adding so little to a sum that holds the
+    top level's exact 1.0 cannot change the sum (a term that small is
+    absorbed by any partial sum from about 2^-969 up, and the sum is at
+    least 1). Its power would cost the most: under X86_V4, np.power takes
+    about 60 ns on a result that underflows against about 5 on others.
     """
-    exps = np.asarray(exponents, dtype=float)
-    two_r = exps[0]
+    exps = np.asarray(exponents, dtype=np.int64)
+    two_r = int(exps[0])
     m, p = np.frexp(mags)
-    n, rem = np.divmod(p * exps, two_r)
-    q = np.ldexp(m ** (exps / two_r) * 2.0 ** (rem / two_r), n.astype(int))
+    pe = p * exps
+    n = pe // two_r
+    roots = _root_table(two_r)[pe - n * two_r]
+    q = np.ldexp(m ** (exps / two_r) * roots, n.astype(np.intc))
     top = q.max(axis=1)
     scaled = q / np.where(top > 0.0, top, 1.0)[:, None]
-    return top * (scaled**two_r).sum(axis=1) ** (1.0 / two_r)
+    terms = np.zeros_like(scaled)
+    np.power(scaled, float(two_r), out=terms, where=scaled >= 2.0 ** (-1022 / two_r))
+    return top * terms.sum(axis=1) ** (1.0 / two_r)
+
+
+def _powers(
+    mags: np.ndarray,
+    exponents: np.ndarray,
+    out: np.ndarray | None = None,
+    zeros: np.ndarray | None = None,
+) -> np.ndarray:
+    """mags ** exponents, exponents tiled to the block, into ``out`` if given.
+
+    ``zeros``, when given, is 1.0 where an entry of ``mags`` is known to
+    be an exact 0 and 0.0 elsewhere. Those bases are raised as 1.0 and
+    their powers set back to 0: 0 + 1 and 1 - 1 are exact, as are x + 0
+    and y - 0, so the powers keep their bits.
+    """
+    if zeros is not None:
+        mags = np.add(mags, zeros, out=out)
+    out = np.power(mags, _tiled(exponents, len(mags)), out=out)
+    if zeros is not None:
+        out -= zeros
+    return out
+
+
+def _sums_short_of_overflow(
+    exponents: np.ndarray, blocks: Sequence[np.ndarray], zeros: Sequence[np.ndarray | None]
+) -> np.ndarray:
+    """The power sum of each row of each block, or inf without a power
+    pass where a level has a_i >= 2^ceil(1024/e_i): a frexp exponent that
+    large makes a_i^{e_i} at least 2^1024, so the sum would overflow."""
+    limits = 2.0 ** np.ceil(1024 / exponents)
+    totals = np.full((len(blocks), blocks[0].shape[0]), np.inf)
+    for total, mags, zero in zip(totals, blocks, zeros):
+        live = ~(mags >= limits).any(axis=1)
+        mags, zero = mags[live], None if zero is None else zero[live]
+        total[live] = _powers(mags, exponents, zeros=zero).sum(axis=-1)
+    return totals
 
 
 @np.errstate(over="ignore")
-def _batch_norms(exponents: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
+def _batch_norms(
+    exponents: np.ndarray, *blocks: np.ndarray, zeros: Sequence[np.ndarray] | None = None
+) -> np.ndarray:
     """Scalar norms of (N, r) blocks of profiles, one result row per block.
 
     The powers of all blocks fill one array, so the sum below and the
@@ -263,20 +377,36 @@ def _batch_norms(exponents: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
     columns on numpy sums pairwise, and ``sum`` along each row is kept. A
     row whose power sum is not a normal finite double (from r = 47 on,
     1e3 ** 2r overflows) goes to ``_rescaled_norms``.
+
+    ``zeros``, when given, holds one array per block, 1.0 at the entries
+    the caller knows to be exact zeros and 0.0 elsewhere (``_powers``).
+    The hunt's lattice passes them under numpy's X86_V4 power loop, where
+    a zero base costs about 4 times a normal one; under the baseline loop
+    it costs no more, and the two extra passes would be a loss.
+
+    Once the top level's overflow limit 2^ceil(1024/2r) is at most 2^10
+    (r >= 52), rows that must overflow skip the power pass
+    (``_sums_short_of_overflow``). The check costs about a pass, and the
+    hunt's magnitudes stay below 2e3 < 2^11, so below that no row of a
+    hunt would skip it.
     """
     r = exponents.shape[0]
     if r == 1:
         # (a^2)^(1/2) is the magnitude itself; keep it bit-exact
         return np.stack([mags[:, 0] for mags in blocks])
-    powers = np.empty((len(blocks),) + blocks[0].shape)
-    for out, mags in zip(powers, blocks):
-        np.power(mags, exponents, out=out)
-    if r < 8:
-        totals = powers[..., 0] + powers[..., 1]
-        for j in range(2, r):
-            totals += powers[..., j]
+    zeros = zeros or (None,) * len(blocks)
+    if exponents[0] * 10 >= 1024:
+        totals = _sums_short_of_overflow(exponents, blocks, zeros)
     else:
-        totals = powers.sum(axis=-1)
+        powers = np.empty((len(blocks),) + blocks[0].shape)
+        for out, mags, zero in zip(powers, blocks, zeros):
+            _powers(mags, exponents, out, zero)
+        if r < 8:
+            totals = powers[..., 0] + powers[..., 1]
+            for j in range(2, r):
+                totals += powers[..., j]
+        else:
+            totals = powers.sum(axis=-1)
     if _TINY <= totals.min() and totals.max() < np.inf:
         return np.power(totals, 1.0 / (2 * r), out=totals)
     rescale = ~((totals >= _TINY) & (totals < np.inf))
@@ -307,7 +437,14 @@ def hnorm(x: GradedVector) -> float:
 
 
 def _dilation_powers(t: float, r: int) -> list[float]:
-    """t, t^2, ..., t^r as doubles, for a finite nonzero t."""
+    """t, t^2, ..., t^r as doubles, for a finite nonzero t.
+
+    A numpy scalar is taken as its Python value: np.float64 ** int
+    returns inf with a RuntimeWarning where float ** int raises
+    OverflowError, and both raise the same bits where they are finite.
+    """
+    if type(t) is not float and isinstance(t, np.generic):  # 38 ns for a float, not 117
+        t = t.item()
     if t == 0 or not abs(t) < _INF:  # NaN fails the comparison too
         raise ValueError(f"dilation parameter t must be finite and nonzero, got {t!r}")
     try:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from gradenorm.graded_space import POWER_LOOP
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -37,10 +39,21 @@ def test_orbits_and_shadows_demo_output_is_pinned():
     assert digest == "f0da42e2d2797b2f0e9cef861861f6217fb78019fe0e9d1286d1d5fb6461df55"
 
 
+# the demo's hunts keep the bits of one float64 power loop, as the hunt
+# pins in test_numeric_search do; the baseline digest was recorded with
+# NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
+DEMO_05_SHA256 = {
+    "X86_V4": "24c8555df242118b3e8574db721841ce6b2f9122062b0cdca488effec469caef",
+    "baseline(X86_V2)": "2f205e2f248a3f07a6acd7d1f840fa74842f1d3f5358744d850c79d582951a41",
+}
+
+
 def test_counterexample_hunt_demo_output_is_pinned():
     # four 200k-sample hunts: a hunt that changes shows in the rounded
     # defect, evaluation count or argmax profiles the demo prints
+    if POWER_LOOP not in DEMO_05_SHA256:
+        pytest.skip(f"no demo 05 digest for numpy's float64 power loop {POWER_LOOP!r}")
     stdout = run_demo("05_counterexample_hunt.py")
     assert "VIOLATION" not in stdout
     digest = hashlib.sha256(stdout.encode("utf-8")).hexdigest()
-    assert digest == "24c8555df242118b3e8574db721841ce6b2f9122062b0cdca488effec469caef"
+    assert digest == DEMO_05_SHA256[POWER_LOOP]

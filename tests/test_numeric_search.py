@@ -9,7 +9,7 @@ import pytest
 
 from gradenorm import numeric_search
 from gradenorm.certificate import CertificateLine
-from gradenorm.graded_space import GradingSignature, ScalarProfile, scalar_defect
+from gradenorm.graded_space import POWER_LOOP, GradingSignature, ScalarProfile, scalar_defect
 from gradenorm.numeric_search import (
     SearchConfig,
     hunt,
@@ -136,8 +136,9 @@ def test_hunt_defect_is_finite_where_power_sums_overflow(r):
 @pytest.mark.parametrize("r", [47, 52])
 def test_hunt_raises_when_the_float_kernel_overflows(r, monkeypatch):
     # a kernel whose every row is NaN, as the unscaled one's were at
-    # r = 52, leaves no finite defect; that is an error, not a violation
-    def nan_norms(exponents, *blocks):
+    # r = 52, leaves no finite defect; that is an error, not a violation.
+    # The lattice passes its zero entries as ``zeros`` under X86_V4
+    def nan_norms(exponents, *blocks, zeros=None):
         return np.full((len(blocks), blocks[0].shape[0]), np.nan)
 
     monkeypatch.setattr(numeric_search, "_batch_norms", nan_norms)
@@ -182,14 +183,11 @@ def outcome_key(out):
 #  violation_found), recorded with the one-move-per-call ascent and the
 # itertools lattice; every other SearchConfig field is the default
 #
-# The literals are the bits of numpy 2.4.6 dispatching its float loops to
-# x86-64-v4 (AVX-512 F/CD/BW/DQ/VL). On a Xeon with those features, all
-# 224 tests in this file pass with NPY_DISABLE_CPU_FEATURES="AVX512_ICL
-# AVX512_SPR"; with "X86_V4 AVX512_ICL AVX512_SPR" (AVX2 left) or with
-# "X86_V3 X86_V4 AVX512_ICL AVX512_SPR" 25 of the 30 pinned and
-# thread-count hunt tests fail, as does the demo 05 digest. A pin that
-# fails elsewhere points first at the numpy version and its SIMD
-# dispatch, which the CI workflow prints before the suite.
+# The literals are the bits of numpy 2.4.6 dispatching its float64 power
+# loop to x86-64-v4 (AVX-512 F/CD/BW/DQ/VL), which POWER_LOOP names
+# "X86_V4". BASELINE_PINNED_HUNTS below holds the same hunts under the
+# baseline loop. A pin that fails points first at the numpy version,
+# which the CI workflow prints before the suite.
 PINNED_HUNTS = [
     (1, 20000, 0, '0x1.0000000000000p-47', '0x1.cc41cac2015a2p-53', 'e78d08e7161e6d681702343a4c40e82b3a3a8e86124bf7e0fdfe5ed2cca272e7', 21610, False),
     (1, 20000, 7, '0x1.0000000000000p-51', '0x1.f3c0942b17477p-53', '26152693805dcbaffb9dda1cdc33b2d4182317bfda9d9718adcd90c31d0ce68e', 21611, False),
@@ -228,19 +226,81 @@ PINNED_HUNTS = [
     (24, 1000, 459, '0x1.1000000000000p-44', '0x1.0bd15aa2a0166p-52', '61a1f335a2577679f7616de90f208298b7ee2761c07dca1420aaea6725497c78', 113605, False),
 ]
 
+# The same hunts, in the same order, under numpy 2.4.6's baseline float64
+# power loop ("baseline(X86_V2)"), which x86-64 runners without AVX-512
+# get: recorded with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+# AVX512_SPR" from the library as it stood before the kernel raised the
+# lattice's zero bases as 1.0. The loops round some powers differently,
+# so the seeded hunts reach other bits; 5 of the 28 agree.
+BASELINE_PINNED_HUNTS = [
+    (1, 20000, 0, '0x1.0000000000000p-49', '0x1.e6948ad0e3eadp-53', '83ec2700445aace218a6ddf588d8551e722fc8d82b27a10bb6246ba61c5211ad', 21610, False),
+    (1, 20000, 7, '0x1.0000000000000p-51', '0x1.f3c0942b17477p-53', '26152693805dcbaffb9dda1cdc33b2d4182317bfda9d9718adcd90c31d0ce68e', 21611, False),
+    (1, 20000, 42, '0x1.0000000000000p-51', '0x1.f52de4b16eb77p-53', '171262d3b2d16358d88ce41f54f7eebc31bf8471d3e5e6421a4fa134b9d5bae2', 21611, False),
+    (2, 20000, 0, '0x0.0p+0', '0x0.0p+0', '66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925', 20467, False),
+    (2, 20000, 7, '0x1.7fe4000000000p-47', '0x1.a52e23c36be2cp-53', 'f3c1ac98f89b1839996f528fcc4fe09bd11627962415b0db0581ab87a9c18adf', 21990, False),
+    (2, 20000, 42, '0x1.e800000000000p-51', '0x1.e7ffffff6f0e2p-54', '1791e733efa09bcb1ac6b1faedf19353ac8fac38517b7a7f67562ed0c71f4ac5', 20758, False),
+    (3, 20000, 0, '0x1.7000000000000p-44', '0x1.52939da052172p-52', 'ef7c1e1aa115490bfb792a137a9bd8f136a7fb88c8e63e97207527020bca2aaf', 21865, False),
+    (3, 20000, 7, '0x1.4000000000000p-43', '0x1.b6fdf797c3b02p-53', '5cda2eae8f201d09c7788c8ba610cfcc8ac605ac5b7272c8e4c4c866d728df0a', 21865, False),
+    (3, 20000, 42, '0x1.7c00000000000p-46', '0x1.1ef13ee0654dcp-52', 'c76def5ef422f80f19a6450aee27af77bb0da87aab161ee0bef0c4f7591a6ab7', 23450, False),
+    (5, 20000, 0, '0x1.7000000000000p-44', '0x1.595276c9ee109p-52', '4c6b0e35ab8e2f68e7d775c8990763b54e6e1cb42343d3e793de7fe83c40004d', 80930, False),
+    (5, 20000, 7, '0x1.8000000000000p-45', '0x1.354c296a6f68dp-52', '7be5d67cafd050ac4afbe814f6aa50ae19ff02f3583f32a37518aa474ae6f4bf', 83791, False),
+    (5, 20000, 42, '0x1.8000000000000p-43', '0x1.73f07b39c3b3bp-52', 'f53e9f3077e3e315eef056e3d7b82f8aa3a9f04d7efc12189838ff91a0d73efa', 81006, False),
+    (12, 20000, 0, '0x1.0000000000000p-45', '0x1.eb7d9f439b4e6p-53', '16bef3829dd4a006dc2a5e2b151245946fb23f48579033746be56fa541bcbddb', 138002, False),
+    (12, 20000, 7, '0x1.0000000000000p-44', '0x1.ff159ac2769a2p-53', 'e8e8104deb66e608fa0318f85bc4b1dbec959db56a8b62277ba0e75b72d7fa1b', 131186, False),
+    (12, 20000, 42, '0x1.1000000000000p-44', '0x1.024f58b247810p-52', 'af6e738338d5236c9c625aa5665883ae4e4b6ad4939cbb7c7bbcee7c42361f50', 137600, False),
+    (24, 20000, 0, '0x1.0000000000000p-45', '0x1.fac46382ca31fp-53', 'c43fe36c68a0d9c442383f9d64d4268811d64592a86713fb311e5e6d957b53e1', 133010, False),
+    (24, 20000, 7, '0x1.0000000000000p-43', '0x1.c4754a3dcdef6p-53', 'd3d5463c04bc7fe8b64aba31644197776de567717af17a68be52538446234278', 155402, False),
+    (24, 20000, 42, '0x1.0000000000000p-44', '0x1.efb5e3c6c8c6cp-53', 'bf262160ff3a5b485d69aca0003f7fea990219fe8e2824de26d1d7af28bf88eb', 155002, False),
+    (5, 1000000, 42, '0x1.8000000000000p-43', '0x1.7e65bd4ec0670p-52', '6c1a3454eb8019e940f42d39087f0c9ed16592dd573530beb692a8faf8f957c9', 1067590, False),
+    (7, 20000, 0, '0x1.0000000000000p-45', '0x1.f842f39ce9ceap-53', 'e8ef8e50485ecb85addb180ebb4a322eb7af9cb48d3f1fc9e76c897a0e7b360f', 126552, False),
+    (7, 20000, 7, '0x1.0000000000000p-44', '0x1.f834dd98283a1p-53', '35ff480ca8f0c5c2a4b75d4825188b7266313bf6fd06d30512bfd57d38514883', 126746, False),
+    (8, 20000, 0, '0x1.0000000000000p-44', '0x1.96e8c79c1a49bp-53', '57f0e4f15c902290b8a5dc84da02edb655e96e977161aac081a9482ea5d5b19c', 132002, False),
+    (8, 20000, 7, '0x1.0000000000000p-44', '0x1.e1731bd84fc12p-53', '1d6a5c1a7f0ff154c6282d74f06871a3dd17c7baccb16b3ca2f98b6bfefb7507', 131802, False),
+    (5, 1000, 0, '0x1.7000000000000p-44', '0x1.595276c9ee109p-52', '4c6b0e35ab8e2f68e7d775c8990763b54e6e1cb42343d3e793de7fe83c40004d', 61770, False),
+    (24, 1000, 7, '0x1.0000000000000p-43', '0x1.c4754a3dcdef6p-53', 'd3d5463c04bc7fe8b64aba31644197776de567717af17a68be52538446234278', 136402, False),
+    (12, 450001, 3, '0x1.1000000000000p-44', '0x1.019cf5f24a1cap-52', 'aa17918789b6568f15cdb204c8922b1ba23dc182d34acaa0dc362d9fdc8d8b96', 574214, False),
+    (24, 1000, 165, '0x1.0000000000000p-44', '0x1.f5768a3f2e16fp-53', '6fcf5dc89f48d865a28e010473c9b41a17cace372c134404002bb3bf1e26d731', 135602, False),
+    (24, 1000, 459, '0x1.0000000000000p-44', '0x1.fde9889e7dec5p-53', '368f3626d37f5893d42a7d7a5d7f7daf799672bd0ea201f8fe331097e3d3bfab', 119474, False),
+]
+
+# float64 power loop -> {(r, sample_count, rng_seed): pinned outcome}
+PINS_BY_LOOP = {
+    loop: {case[:3]: tuple(case[3:]) for case in cases}
+    for loop, cases in (("X86_V4", PINNED_HUNTS), ("baseline(X86_V2)", BASELINE_PINNED_HUNTS))
+}
+
+
+def pinned_outcome(case):
+    """The outcome pinned for the hunt of ``case`` under this process's
+    power loop. Another loop has no pins: ``test_the_power_loop_has_pins``
+    fails and names it, and the pinned tests are skipped."""
+    if POWER_LOOP not in PINS_BY_LOOP:
+        pytest.skip(f"no hunt pins for numpy's float64 power loop {POWER_LOOP!r}")
+    return PINS_BY_LOOP[POWER_LOOP][case[:3]]
+
+
+def test_the_power_loop_has_pins():
+    assert [c[:3] for c in BASELINE_PINNED_HUNTS] == [c[:3] for c in PINNED_HUNTS]
+    assert POWER_LOOP in PINS_BY_LOOP, (
+        f"numpy's float64 power loop is {POWER_LOOP!r}; the hunt pins and the "
+        f"demo 05 digest are recorded for {sorted(PINS_BY_LOOP)} only"
+    )
+
 
 @pytest.mark.parametrize("case", PINNED_HUNTS, ids=lambda c: f"r{c[0]}-n{c[1]}-seed{c[2]}")
 def test_hunt_outcome_is_pinned(case):
-    r, samples, seed, *expected = case
+    r, samples, seed = case[:3]
+    expected = pinned_outcome(case)
     out = hunt(SearchConfig(r=r, sample_count=samples, rng_seed=seed))
-    assert outcome_key(out) == tuple(expected)
+    assert outcome_key(out) == expected
 
 
 def assert_identical_for_every_thread_count(case):
-    r, samples, seed, *expected = case
+    r, samples, seed = case[:3]
+    expected = pinned_outcome(case)
     cfg = SearchConfig(r=r, sample_count=samples, rng_seed=seed)
     base = hunt(cfg, threads=1)
-    assert outcome_key(base) == tuple(expected)
+    assert outcome_key(base) == expected
     for threads in (2, 3, 4):
         out = hunt(cfg, threads=threads)
         assert out.max_defect == base.max_defect

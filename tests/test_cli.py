@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -177,6 +178,50 @@ def test_check_and_report_agree_on_out_of_range_line(capsys, tmp_path, line, mes
     path = write_json(tmp_path / "out_of_range.json", {"r": 3, "lines": [line]})
     results = [run(capsys, command, path) for command in ("check", "report")]
     assert results == [(2, "", f"error: {message}\n")] * 2
+
+
+# sha256 of the stdout of each exact command for r = 1..60, one run after
+# another, recorded before prove and report wrote their output in pieces;
+# report and check read the built certificate from a file
+EXACT_OUTPUT_SHA256 = {
+    "prove": "64cf9caafa011cbd2bc274b9a8ad8d176ab840e2d5211e464a9547afac378858",
+    "prove --json": "a5b0d702dc846dea99dd0cd04446ba42bd90550ca79f8ba12f2995dcb3a71d9c",
+    "report": "64cf9caafa011cbd2bc274b9a8ad8d176ab840e2d5211e464a9547afac378858",
+    "report --json": "097bbda9cb4aeaa45966f3f55f1ecd06b12336253f22fba9b36fbb89ee0c2a97",
+    "check": "cb85f0cec0eb2ba76618c110e8501eb43621b611605a57bf1d22e4e9fb4a9014",
+}
+
+
+def exact_output_sha256(capsys, tmp_path, command):
+    name, *flags = command.split()
+    digest = hashlib.sha256()
+    for r in range(1, 61):
+        if name == "prove":
+            argv = ["prove", "--r", str(r)]
+        else:
+            cert = certificate_mod.search_certificate(GradingSignature(r))
+            payload = certificate_mod.certificate_to_json(cert)
+            argv = [name, write_json(tmp_path / f"cert_{r}.json", payload)]
+        code, stdout, err = run(capsys, *argv, *flags)
+        assert (code, err) == (0, "")
+        digest.update(stdout.encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("command", list(EXACT_OUTPUT_SHA256))
+def test_exact_command_output_is_pinned_for_r_up_to_60(capsys, tmp_path, command):
+    assert exact_output_sha256(capsys, tmp_path, command) == EXACT_OUTPUT_SHA256[command]
+
+
+# sha256 of the file that prove --out writes (json.dump with indent=2)
+PROVE_OUT_SHA256 = {1: "e23edee83495781d3b77ec8efe4de8f9d23c17b80081af8adc6d9ae71234b561", 5: "d54aeb1c6c1e2c44704659a07f6ddcc705c561018117cdfd39a8b3e4f9d6ea78", 40: "5a723558ef7746a43b43285101ef4d6fc7d076a6cca12ee0c37aa7b7739bc828"}
+
+
+@pytest.mark.parametrize("r", list(PROVE_OUT_SHA256))
+def test_prove_out_file_is_pinned(capsys, tmp_path, r):
+    out = tmp_path / "cert.json"
+    assert run(capsys, "prove", "--r", str(r), "--json", "--out", str(out))[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PROVE_OUT_SHA256[r]
 
 
 # ---------------------------------------------------------------------------

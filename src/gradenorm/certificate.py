@@ -46,11 +46,13 @@ e_i - s, so (b) is e_i (2r - k) >= 2r (e_i - s), that is e_i k <= 2r s.
 This holds by algebra for every in-range line, not only the builder's.
 Orbits come from ``expansion``, so no ``Fraction`` is built.
 ``check_line`` takes the binomials of (a) from ``binom``;
-``check_certificate`` and the report walk the certificate's columns level
-by level and take them from one row of C(2r, k) per call and one row of
-C(e_i, s) per level, built by the exact recurrence
-C(n, s+1) = C(n, s)(n - s)/(s + 1), so no table outlives a call. Both
-make the same comparisons, in one line predicate.
+``check_certificate`` and a report's ``groups`` walk the certificate's
+columns level by level and take them from one row of C(2r, k) per call
+and one row of C(e_i, s) per level, built by the exact recurrence
+C(n, s+1) = C(n, s)(n - s)/(s + 1), so no table outlives a call.
+``report_pieces`` walks by target instead and keeps every level's row
+for its call. ``check_line`` and ``check_certificate`` make the same
+comparisons, in one line predicate.
 
 Storage. A ``Certificate`` is the checker's own form: three int columns,
 ``levels``, ``splits`` and ``targets``. The builder and
@@ -60,7 +62,14 @@ and ``certificate_to_json`` read the columns alone, whichever way the
 certificate was built, so a valid certificate costs no object per line.
 ``Certificate.lines`` builds the ``CertificateLine`` tuple on first read
 and keeps it; a ``Violation`` carries a ``CertificateLine`` built for
-the one line it names.
+the one line it names. Reports read the columns too:
+``certificate_to_report`` checks the certificate and returns a
+``ProofReport`` view over it, which builds its group dicts only when
+``groups`` is first read. ``report_pieces`` files each line's (i, s)
+under its target k and formats one group at a time, so ``prove`` and
+``report`` print a proof of any length with no dict or string per line
+alive at once; only the numbers themselves, C(e_i, s) for every orbit,
+stay alive while they print.
 
 The builder is untrusted by design: whatever it returns is re-checked.
 It targets each orbit at k = floor(n s / e) with n = 2r and
@@ -79,11 +88,13 @@ coordination.
 
 from __future__ import annotations
 
-from math import gcd
+import sys
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
 from .exactmath import FrozenValue, GradingSignature, _binom_row, binom
-from .expansion import orbit_triples, scaled_shadow
+from .expansion import orbit_triples, shadow_strings
 
 # The rational-exponent definitions the checker reproduces in integers.
 # They stay module attributes because the benchmark's traced run
@@ -103,6 +114,7 @@ __all__ = [
     "check_certificate",
     "search_certificate",
     "certificate_to_report",
+    "report_pieces",
     "certificate_to_json",
     "certificate_from_json",
 ]
@@ -328,20 +340,21 @@ def search_certificate(sig: GradingSignature) -> Certificate:
     ``check_certificate`` agrees.
     """
     two_r = 2 * sig.r
-    # three passes over the orbits, so that no per-line tuple stays alive
-    return Certificate._from_columns(
-        sig.r,
-        [i for i, _, _ in orbit_triples(sig)],
-        [s for _, _, s in orbit_triples(sig)],
-        [two_r * s // e for _, e, s in orbit_triples(sig)],
-    )
+    levels, splits, targets = [], [], []
+    # the orbits (i, s), s = 1..e_i/2, of ``orbit_triples``, a level at a time
+    for i, e in enumerate(sig.exponents, 1):
+        m = e // 2
+        levels += [i] * m
+        splits += range(1, m + 1)
+        targets += [two_r * s // e for s in range(1, m + 1)]
+    return Certificate._from_columns(sig.r, levels, splits, targets)
 
 
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _symmetric_display(c: int, a: str, b: str, hi: int, lo: int) -> str:
+def _symmetric_display(c: int | str, a: str, b: str, hi: int, lo: int) -> str:
     """c (a^hi b^lo + a^lo b^hi), or the single c a^hi b^lo when hi = lo,
     for hi >= lo >= 1; an exponent 1 is not written."""
     if hi == lo:
@@ -351,19 +364,74 @@ def _symmetric_display(c: int, a: str, b: str, hi: int, lo: int) -> str:
     return f"{c}({a}^{hi} {b}^{lo} + {a}^{lo} {b}^{hi})"
 
 
+def _group_display(two_r: int, k: int, c_slot: int, terms: list[str]) -> str:
+    rhs = _symmetric_display(c_slot, "A", "B", two_r - k, k)
+    return f"[k={k}]  {' + '.join(terms)} <= {rhs}"
+
+
+def _report_groups(r: int, cert: Certificate) -> tuple[dict, ...]:
+    """The group dicts of a checked certificate: each line's record and
+    display term filed under its target k, level by level; a valid
+    certificate spends each slot (k, i) once."""
+    two_r = 2 * r
+    rows_at = [[] for _ in range(r + 1)]
+    terms_at = [[] for _ in range(r + 1)]
+    level = 0
+    for i, s, k in _by_level(cert):
+        if i != level:
+            level, e = i, two_r + 2 - 2 * i
+            c_orbits = _binom_row(e, e // 2)
+            a, b = f"a{i}", f"b{i}"
+        c = c_orbits[s]
+        hi = e - s
+        rows_at[k].append({"i": i, "s": s, "coefficient": c, "orbit_exponents": [hi, s],
+                           "shadow_exponents": shadow_strings(two_r, e, k)})
+        terms_at[k].append(_symmetric_display(c, a, b, hi, s))
+    c_slots = _binom_row(two_r, r)
+    return tuple(
+        {"k": k, "rhs_coefficient": c_slots[k], "is_middle": k == r,
+         "display": _group_display(two_r, k, c_slots[k], terms_at[k]), "lines": tuple(rows_at[k])}
+        for k in range(1, r + 1) if rows_at[k]
+    )
+
+
 class ProofReport(FrozenValue):
     """A valid certificate grouped by target k. Each group is the dict its
     JSON carries: ``k``, ``rhs_coefficient`` (C(2r, k)), ``is_middle``
     (k = r), ``display`` (the comparison as text) and ``lines`` (a tuple
     of line records ``i``, ``s``, ``coefficient``, ``orbit_exponents``,
-    ``shadow_exponents``)."""
+    ``shadow_exponents``).
+
+    ``ProofReport(r, groups)`` keeps the groups it is given.
+    ``certificate_to_report`` returns a view instead, over the columns of
+    the certificate it checked. A view's ``groups`` builds the tuple of
+    group dicts on first read and keeps it, as ``Certificate.lines`` does;
+    ``report_pieces`` writes its text or JSON a group at a time without
+    building them. Equality, hash and repr read ``r`` and ``groups``,
+    whichever way the report was built."""
 
     __match_args__ = ("r", "groups")
 
     def __init__(self, r: int, groups: tuple[dict, ...]) -> None:
+        self._set(r, groups, None)
+
+    @classmethod
+    def _view(cls, cert: Certificate) -> ProofReport:
+        report = cls.__new__(cls)
+        report._set(cert.r, None, cert)
+        return report
+
+    def _set(self, r: int, groups: tuple[dict, ...] | None, cert: Certificate | None) -> None:
         put = object.__setattr__
         put(self, "r", r)
-        put(self, "groups", groups)
+        put(self, "_groups", groups)
+        put(self, "_cert", cert)
+
+    @property
+    def groups(self) -> tuple[dict, ...]:
+        if self._groups is None:
+            object.__setattr__(self, "_groups", _report_groups(self.r, self._cert))
+        return self._groups
 
     def render_text(self) -> str:
         out = [f"triangle-inequality certificate, length r = {self.r}"]
@@ -375,48 +443,80 @@ class ProofReport(FrozenValue):
 
 
 def certificate_to_report(sig: GradingSignature, cert: Certificate) -> ProofReport:
-    """Group a valid certificate by target and render each comparison,
-    as display text and as JSON-ready line records for spot checking.
+    """Group a valid certificate by target, as a view that renders each
+    comparison as display text and as JSON-ready line records for spot
+    checking.
 
-    The certificate is checked once, by ``check_certificate``, whose
-    domain errors pass through; a certificate that fails the check
+    The certificate is checked once, here, by ``check_certificate``,
+    whose domain errors pass through; a certificate that fails the check
     raises ``InvalidCertificateError``."""
     report = check_certificate(sig, cert)
     if not report.valid:
         reasons = ", ".join(sorted({v.reason for v in report.violations}))
         raise InvalidCertificateError(f"certificate does not validate ({reasons})")
+    return ProofReport._view(cert)
 
-    r, exponents = sig.r, sig.exponents
-    two_r = 2 * r
-    # each line's JSON row and display term, filed under its target k,
-    # level by level; a valid certificate spends each slot (k, i) once
-    rows_at = [[] for _ in range(r + 1)]
-    terms_at = [[] for _ in range(r + 1)]
-    level = 0
-    for i, s, k in _by_level(cert):
-        if i != level:
-            level, e = i, exponents[i - 1]
-            c_orbits = _binom_row(e, e // 2)
-            a, b = f"a{i}", f"b{i}"
-        c = c_orbits[s]
-        # ``ratio_to_str``'s format over 2r; hi + lo = 2r e, so one gcd serves both
-        hi, lo = scaled_shadow(two_r, e, k)
-        g = gcd(lo, two_r)
-        den, hi, lo = two_r // g, hi // g, lo // g
-        sh = [str(hi), str(lo)] if den == 1 else [f"{hi}/{den}", f"{lo}/{den}"]
-        row = dict(i=i, s=s, coefficient=c, orbit_exponents=[e - s, s], shadow_exponents=sh)
-        rows_at[k].append(row)
-        terms_at[k].append(_symmetric_display(c, a, b, e - s, s))
 
+def _require_str_digits(r: int) -> None:
+    """Raise ``ValueError`` when C(2r, r), the largest number a report of
+    length r prints, has more digits than ``int``-to-``str`` conversion
+    allows (``sys.get_int_max_str_digits``; 0 means no limit). For
+    r > 4 * limit, C(2r, r) >= 2^r > 10^limit, and no binomial is formed."""
+    limit = sys.get_int_max_str_digits()
+    if limit and (r > 4 * limit or binom(2 * r, r) >= 10**limit):
+        raise ValueError(
+            f"a report of length r={r} prints C(2r, r), which has more than "
+            f"{limit} digits, the int-to-str limit of sys.set_int_max_str_digits"
+        )
+
+
+def report_pieces(report: ProofReport, as_json: bool = False) -> Iterator[str]:
+    """The text of ``report.render_text()``, or with ``as_json`` that of
+    ``json.dumps(report.to_json())``, in pieces, one a group, for a report
+    that ``certificate_to_report`` returned. No group dict is built: the
+    lines are filed under their targets as (i, s) pairs and each group is
+    formatted from them when its turn comes. The caller checks the length
+    with ``_require_str_digits`` before writing the first piece."""
+    if report._cert is None:
+        raise TypeError("report_pieces writes a report that certificate_to_report returned")
+    r, two_r = report.r, 2 * report.r
+    filed = [[] for _ in range(r + 1)]
+    for i, s, k in _by_level(report._cert):
+        filed[k].append((i, s))
+    # every level's row of C(e_i, .), since a group takes a line from most levels
+    levels = [
+        (e, _binom_row(e, e // 2), f"a{i}", f"b{i}")
+        for i, e in enumerate(range(two_r, 0, -2), 1)
+    ]
     c_slots = _binom_row(two_r, r)
-    groups = []
-    for k in range(1, r + 1):
-        if rows_at[k]:
-            rhs = _symmetric_display(c_slots[k], "A", "B", two_r - k, k)
-            display = f"[k={k}]  {' + '.join(terms_at[k])} <= {rhs}"
-            groups.append(dict(k=k, rhs_coefficient=c_slots[k], is_middle=k == r,
-                               display=display, lines=tuple(rows_at[k])))
-    return ProofReport(r=r, groups=tuple(groups))
+    yield f'{{"r": {r}, "groups": [' if as_json else f"triangle-inequality certificate, length r = {r}"
+    sep = ""
+    for k, pairs in enumerate(filed):
+        if not pairs:
+            continue
+        rows, terms = [], []
+        for i, s in pairs:
+            e, c_orbits, a, b = levels[i - 1]
+            text = str(c_orbits[s])
+            terms.append(_symmetric_display(text, a, b, e - s, s))
+            if as_json:
+                hi, lo = map(_quote, shadow_strings(two_r, e, k))
+                rows.append(
+                    f'{{"i": {i}, "s": {s}, "coefficient": {text}, "orbit_exponents": '
+                    f'[{e - s}, {s}], "shadow_exponents": [{hi}, {lo}]}}'
+                )
+        display = _group_display(two_r, k, c_slots[k], terms)
+        if not as_json:
+            yield "\n" + display
+            continue
+        middle = "true" if k == r else "false"
+        yield (
+            f'{sep}{{"k": {k}, "rhs_coefficient": {c_slots[k]}, "is_middle": {middle}, '
+            f'"display": {_quote(display)}, "lines": [{", ".join(rows)}]}}'
+        )
+        sep = ", "
+    if as_json:
+        yield "]}"
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,14 @@ line. With --json stdout is a single JSON document; progress and
 diagnostics go to stderr. GRADENORM_THREADS caps worker threads for the
 hunt sweep.
 
+prove and report write their text or JSON in pieces, a group of the
+proof or a chunk of a table at a time (``certificate.report_pieces``,
+``_json_list``), with the bytes that one ``json.dumps`` or ``print``
+would give; so memory stays linear in the certificate, not in the
+output. The failures they can foresee come before the first byte: the
+check, and the int-to-str digit limit that C(2r, r) passes from
+r = 7,146 (``certificate._require_str_digits``), which exits 2.
+
 numpy, ``graded_space`` and ``numeric_search`` are imported inside the
 handlers that compute floats (norm, dilate, triangle-sample, hunt), so
 prove, check and report run on the exact modules alone. Those commands
@@ -24,19 +32,21 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import __version__
 from .certificate import (
     InvalidCertificateError,
+    _require_str_digits,
     certificate_from_json,
     certificate_to_json,
     certificate_to_report,
     check_certificate,
+    report_pieces,
     search_certificate,
 )
 from .exactmath import GradingSignature
-from .expansion import orbit_table, rhs_table, shadow_table
+from .expansion import orbit_rows, rhs_table, shadow_rows
 
 __all__ = ["main", "entrypoint"]
 
@@ -75,6 +85,30 @@ def _fail(message: str, code: int = 2) -> int:
 
 def _emit(obj: object) -> None:
     print(json.dumps(obj, allow_nan=False))
+
+
+def _write(*parts: str | Iterable[str]) -> None:
+    """Write each string, and each piece of each iterable of strings, to
+    stdout as it comes: the output of _emit or print without the object
+    or the string they would build."""
+    write = sys.stdout.write
+    for part in parts:
+        if isinstance(part, str):
+            write(part)
+        else:
+            for piece in part:
+                write(piece)
+
+
+def _json_list(chunks: Iterable[list]) -> Iterator[str]:
+    """``json.dumps`` of the list of every row of ``chunks``, one nonempty
+    list of rows at a time."""
+    yield "["
+    sep = ""
+    for rows in chunks:
+        yield sep + json.dumps(rows)[1:-1]
+        sep = ", "
+    yield "]"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -201,6 +235,7 @@ def _cmd_triangle_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
+    _require_str_digits(args.r)
     sig = GradingSignature(args.r)
     cert = search_certificate(sig)
     report = certificate_to_report(sig, cert)  # re-checks before rendering
@@ -210,9 +245,11 @@ def _cmd_prove(args: argparse.Namespace) -> int:
             json.dump(cert_json, fh, indent=2)
             fh.write("\n")
     if args.json:
-        _emit({"certificate": cert_json, "report": report.to_json()})
+        cert_text = json.dumps(cert_json)
+        del cert_json  # its rows are not needed while the report streams
+        _write('{"certificate": ', cert_text, ', "report": ', report_pieces(report, True), "}\n")
     else:
-        print(report.render_text())
+        _write(report_pieces(report), "\n")
     return 0
 
 
@@ -245,19 +282,19 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     cert = certificate_from_json(_load_json(args.file))
+    _require_str_digits(cert.r)
     sig = GradingSignature(cert.r)
     report = certificate_to_report(sig, cert)
     if args.json:
-        _emit(
-            {
-                "report": report.to_json(),
-                "lhs_orbits": orbit_table(sig),
-                "rhs_orbits": rhs_table(sig),
-                "shadows": shadow_table(sig),
-            }
+        _write(
+            '{"report": ', report_pieces(report, True),
+            ', "lhs_orbits": ', _json_list(orbit_rows(sig)),
+            ', "rhs_orbits": ', json.dumps(rhs_table(sig)),
+            ', "shadows": ', _json_list(shadow_rows(sig)),
+            "}\n",
         )
     else:
-        print(report.render_text())
+        _write(report_pieces(report), "\n")
     return 0
 
 

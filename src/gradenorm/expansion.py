@@ -26,13 +26,17 @@ spend.
 
 This module is the one integer ledger of the expansion. The orbit list
 (``orbit_triples``) and the shadow scaled by 2r (``scaled_shadow``) are
-defined here only. The checker and the builder walk the orbit list; the
-report, ``shadow`` and the JSON tables take the shadow from
-``scaled_shadow``, which the checker's one-comparison majorization
-test does not need (see ``certificate``). ``rhs_table`` is the one list
-of right-hand orbits. Coefficients are big integers; ``orbit_table``
-reads them from one row of C(e_i, s) per level (``exactmath._binom_row``),
-as the checker does. Only
+defined here only. The checker walks the orbit list, and the builder
+the same orbits a level at a time. ``shadow`` takes the shadow from
+``scaled_shadow``; the report and ``shadow_table`` take it in the
+``"p/q"`` wire format from ``shadow_strings``, which reduces it with
+one gcd. The checker's one-comparison majorization test needs neither
+(see ``certificate``). ``rhs_table`` is the one list of right-hand
+orbits. Coefficients are big integers; ``orbit_table`` reads them from
+one row of C(e_i, s) per level (``exactmath._binom_row``), as the
+checker does. ``orbit_rows`` and ``shadow_rows`` hand out the rows of
+the two large tables a level, or a k, at a time, so that
+``report --json`` writes them without building either table. Only
 ``shadow`` and ``orbit_exponents`` build ``Fraction`` exponents, for the
 float side and the rational definition of majorization. Pure functions
 throughout. The module imports only ``exactmath``, so the certificate
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
+from math import gcd
 
 from .exactmath import (
     ExponentPair,
@@ -52,7 +57,6 @@ from .exactmath import (
     GradingSignature,
     _binom_row,
     binom,
-    ratio_to_str,
 )
 
 __all__ = [
@@ -60,11 +64,14 @@ __all__ = [
     "ShadowPair",
     "orbit_triples",
     "scaled_shadow",
+    "shadow_strings",
     "lhs_orbits",
     "shadow",
     "orbit_exponents",
+    "orbit_rows",
     "orbit_table",
     "rhs_table",
+    "shadow_rows",
     "shadow_table",
 ]
 
@@ -109,6 +116,16 @@ def scaled_shadow(two_r: int, e: int, k: int) -> tuple[int, int]:
     return e * (two_r - k), e * k
 
 
+def shadow_strings(two_r: int, e: int, k: int) -> list[str]:
+    """``scaled_shadow(two_r, e, k)`` over 2r, as ``ratio_to_str`` writes
+    it; hi + lo = 2r e, so one gcd reduces both. The report calls this
+    once a line, so it repeats the two products instead of a call."""
+    hi, lo = e * (two_r - k), e * k
+    g = gcd(lo, two_r)
+    den, hi, lo = two_r // g, hi // g, lo // g
+    return [str(hi), str(lo)] if den == 1 else [f"{hi}/{den}", f"{lo}/{den}"]
+
+
 def lhs_orbits(sig: GradingSignature) -> list[TermOrbit]:
     """All left-hand cross-term orbits, one per (i, s) with 1 <= s <= e_i/2."""
     return [TermOrbit(i, s, binom(e, s), s == e // 2) for i, e, s in orbit_triples(sig)]
@@ -139,14 +156,12 @@ def orbit_exponents(sig: GradingSignature, level: int, split: int) -> ExponentPa
 # JSON-ready listings (consumed by the report command)
 # ---------------------------------------------------------------------------
 
-def orbit_table(sig: GradingSignature) -> list[dict]:
-    """One row per left-hand orbit, its coefficient C(e_i, s) read from
-    one binomial row per level."""
-    rows, level = [], 0
-    for i, e, s in orbit_triples(sig):
-        if i != level:
-            level, coefficients = i, _binom_row(e, e // 2)
-        rows.append(
+def orbit_rows(sig: GradingSignature) -> Iterator[list[dict]]:
+    """The rows of ``orbit_table``, one list a level, each coefficient
+    C(e_i, s) read from one binomial row per level."""
+    for i, e in enumerate(sig.exponents, 1):
+        coefficients = _binom_row(e, e // 2)
+        yield [
             {
                 "i": i,
                 "s": s,
@@ -154,8 +169,13 @@ def orbit_table(sig: GradingSignature) -> list[dict]:
                 "is_middle": s == e // 2,
                 "exponents": [e - s, s],
             }
-        )
-    return rows
+            for s in range(1, e // 2 + 1)
+        ]
+
+
+def orbit_table(sig: GradingSignature) -> list[dict]:
+    """One row per left-hand orbit, by level and then split."""
+    return [row for rows in orbit_rows(sig) for row in rows]
 
 
 def rhs_table(sig: GradingSignature) -> list[dict]:
@@ -173,11 +193,17 @@ def rhs_table(sig: GradingSignature) -> list[dict]:
     ]
 
 
-def shadow_table(sig: GradingSignature) -> list[dict]:
+def shadow_rows(sig: GradingSignature) -> Iterator[list[dict]]:
+    """The rows of ``shadow_table``, one list for each k."""
     two_r = 2 * sig.r
-    return [
-        {"k": k, "i": i, "hi": ratio_to_str(hi, two_r), "lo": ratio_to_str(lo, two_r)}
-        for k in range(1, sig.r + 1)
-        for i, e in enumerate(sig.exponents, 1)
-        for hi, lo in [scaled_shadow(two_r, e, k)]
-    ]
+    for k in range(1, sig.r + 1):
+        yield [
+            {"k": k, "i": i, "hi": hi, "lo": lo}
+            for i, e in enumerate(sig.exponents, 1)
+            for hi, lo in [shadow_strings(two_r, e, k)]
+        ]
+
+
+def shadow_table(sig: GradingSignature) -> list[dict]:
+    """The shadow of every slot (k, i) in the wire format, by k and then i."""
+    return [row for rows in shadow_rows(sig) for row in rows]

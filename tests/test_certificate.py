@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -17,12 +18,16 @@ from gradenorm.certificate import (
     Certificate,
     CertificateLine,
     CheckReport,
+    InvalidCertificateError,
+    ProofReport,
     Violation,
+    _require_str_digits,
     certificate_from_json,
     certificate_to_json,
     certificate_to_report,
     check_certificate,
     check_line,
+    report_pieces,
     search_certificate,
 )
 from gradenorm.cli import main
@@ -653,6 +658,86 @@ def test_report_json_round_trips_groups():
     assert payload["r"] == 3
     assert [g["k"] for g in payload["groups"]] == [1, 2, 3]
     assert payload["groups"][2]["is_middle"] is True
+
+
+# ---------------------------------------------------------------------------
+# the report as a view, and its writer
+# ---------------------------------------------------------------------------
+
+def test_report_of_a_bad_certificate_raises_at_the_call():
+    sig = GradingSignature(5)
+    with pytest.raises(InvalidCertificateError):
+        certificate_to_report(sig, retarget(load_fixture(5), 1, 1, 5))
+    out_of_range = Certificate._from_columns(5, [1], [1], [6])
+    with pytest.raises(ValueError, match="target 6 out of range for r=5"):
+        certificate_to_report(sig, out_of_range)
+    with pytest.raises(ValueError, match="certificate is for r=4"):
+        certificate_to_report(sig, load_fixture(4))
+
+
+def test_report_view_builds_its_groups_once_and_equals_the_eager_report():
+    sig = GradingSignature(6)
+    view = certificate_to_report(sig, search_certificate(sig))
+    groups = view.groups
+    assert view.groups is groups and type(groups) is tuple
+    assert all(type(g) is dict and type(g["lines"]) is tuple for g in groups)
+    eager = ProofReport(6, groups)
+    assert eager == view and view == eager and repr(eager) == repr(view)
+    with pytest.raises(TypeError):
+        hash(view)
+    # a view that has not built its groups pickles and copies too
+    for report in (certificate_to_report(sig, search_certificate(sig)), view):
+        for twin in (pickle.loads(pickle.dumps(report)), copy.copy(report), copy.deepcopy(report)):
+            assert type(twin) is ProofReport and twin == report == eager
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_report_view_renders_as_the_eager_report_and_the_writer(r):
+    sig = GradingSignature(r)
+    view = certificate_to_report(sig, search_certificate(sig))
+    text, payload = view.render_text(), view.to_json()
+    eager = ProofReport(r, certificate_to_report(sig, search_certificate(sig)).groups)
+    assert (eager.render_text(), eager.to_json()) == (text, payload)
+    assert "".join(report_pieces(view)) == text
+    assert "".join(report_pieces(view, as_json=True)) == json.dumps(payload)
+
+
+def test_report_writer_files_unsorted_lines_by_level():
+    sig = GradingSignature(5)
+    cert = load_fixture(5)
+    order = list(range(len(cert.levels)))
+    random.Random(5).shuffle(order)
+    shuffled = Certificate._from_columns(
+        5, *([column[j] for j in order] for column in (cert.levels, cert.splits, cert.targets))
+    )
+    view = certificate_to_report(sig, cert)
+    assert list(report_pieces(certificate_to_report(sig, shuffled), True)) == list(
+        report_pieces(view, True)
+    )
+
+
+def test_report_writer_needs_a_view():
+    with pytest.raises(TypeError, match="certificate_to_report"):
+        next(report_pieces(ProofReport(1, ())))
+
+
+@pytest.mark.parametrize("r, fits", [(1, True), (7145, True), (7146, False), (10**12, False)])
+def test_report_length_is_checked_against_the_int_to_str_limit(r, fits):
+    # C(2r, r) has 4,300 digits at r = 7145 and 4,301 at r = 7146; no
+    # certificate is built, and r = 10**12 forms no binomial
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        if fits:
+            _require_str_digits(r)
+        else:
+            with pytest.raises(ValueError, match=rf"r={r}\b.*4300 digits"):
+                _require_str_digits(r)
+        # no limit, no check
+        sys.set_int_max_str_digits(0)
+        _require_str_digits(min(r, 7146))
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 # ---------------------------------------------------------------------------

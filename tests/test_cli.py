@@ -180,6 +180,26 @@ def test_check_and_report_agree_on_out_of_range_line(capsys, tmp_path, line, mes
     assert results == [(2, "", f"error: {message}\n")] * 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["prove", "--r", "7146"], ["prove", "--r", "7146", "--json"], ["report", "{}"],
+     ["report", "{}", "--json"]],
+)
+def test_prove_and_report_refuse_a_length_whose_numbers_str_cannot_print(capsys, tmp_path, argv):
+    # C(2r, r) has 4,301 digits at r = 7146: the command stops before its
+    # first byte, and before it builds or checks a certificate
+    path = write_json(tmp_path / "cert.json", {"r": 7146, "lines": []})
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, stdout, err = run(capsys, *(arg.format(path) for arg in argv))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "r=7146" in err and "4300 digits" in err
+
+
 # sha256 of the stdout of each exact command for r = 1..60, one run after
 # another, recorded before prove and report wrote their output in pieces;
 # report and check read the built certificate from a file

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from gradenorm import numeric_search
-from gradenorm.exactmath import ExponentPair, binom
+from gradenorm.exactmath import ExponentPair, binom, ratio_to_str
 from gradenorm.expansion import (
     lhs_orbits,
     orbit_exponents,
+    orbit_rows,
     orbit_table,
     rhs_table,
+    scaled_shadow,
     shadow,
+    shadow_rows,
+    shadow_strings,
     shadow_table,
 )
 from gradenorm.graded_space import GradingSignature, ScalarProfile, scalar_norm
@@ -234,6 +238,26 @@ def test_tables_are_json_ready():
     assert rhs[-1] == {"k": 3, "coefficient": 20, "is_middle": True, "exponents": [3, 3]}
     shadows = shadow_table(sig)
     assert {"k": 1, "i": 2, "hi": "10/3", "lo": "2/3"} in shadows
+
+
+@pytest.mark.parametrize("r", [1, 2, 5, 12, 30])
+def test_shadow_strings_are_the_scaled_shadow_over_2r(r):
+    two_r = 2 * r
+    for e in GradingSignature(r).exponents:
+        for k in range(1, r + 1):
+            hi, lo = scaled_shadow(two_r, e, k)
+            assert shadow_strings(two_r, e, k) == [ratio_to_str(hi, two_r), ratio_to_str(lo, two_r)]
+
+
+@pytest.mark.parametrize("r", [1, 4, 9])
+def test_row_chunks_are_the_tables_a_level_or_a_k_at_a_time(r):
+    sig = GradingSignature(r)
+    levels = list(orbit_rows(sig))
+    assert [len(rows) for rows in levels] == [e // 2 for e in sig.exponents]
+    assert [row for rows in levels for row in rows] == orbit_table(sig)
+    targets = list(shadow_rows(sig))
+    assert [{row["k"] for row in rows} for rows in targets] == [{k} for k in range(1, r + 1)]
+    assert [row for rows in targets for row in rows] == shadow_table(sig)
 
 
 def _sha256_lines(texts):

@@ -50,9 +50,9 @@ Orbits come from ``expansion``, so no ``Fraction`` is built.
 columns level by level and take them from one row of C(2r, k) per call
 and one row of C(e_i, s) per level, built by the exact recurrence
 C(n, s+1) = C(n, s)(n - s)/(s + 1), so no table outlives a call.
-``report_pieces`` walks by target instead and keeps every level's row
-for its call. ``check_line`` and ``check_certificate`` make the same
-comparisons, in one line predicate.
+``report_pieces`` walks by target instead and keeps one coefficient per
+level, stepping it by the same recurrence. ``check_line`` and
+``check_certificate`` make the same comparisons, in one line predicate.
 
 Storage. A ``Certificate`` is the checker's own form: three int columns,
 ``levels``, ``splits`` and ``targets``. The builder and
@@ -65,11 +65,10 @@ and keeps it; a ``Violation`` carries a ``CertificateLine`` built for
 the one line it names. Reports read the columns too:
 ``certificate_to_report`` checks the certificate and returns a
 ``ProofReport`` view over it, which builds its group dicts only when
-``groups`` is first read. ``report_pieces`` files each line's (i, s)
-under its target k and formats one group at a time, so ``prove`` and
-``report`` print a proof of any length with no dict or string per line
-alive at once; only the numbers themselves, C(e_i, s) for every orbit,
-stay alive while they print.
+``groups`` is first read. ``report_pieces`` files each line's level and
+split under its target k and formats one group at a time, so ``prove``
+and ``report`` print a proof of any length with no dict, string or
+coefficient per line alive at once.
 
 The builder is untrusted by design: whatever it returns is re-checked.
 It targets each orbit at k = floor(n s / e) with n = 2r and
@@ -474,31 +473,37 @@ def report_pieces(report: ProofReport, as_json: bool = False) -> Iterator[str]:
     """The text of ``report.render_text()``, or with ``as_json`` that of
     ``json.dumps(report.to_json())``, in pieces, one a group, for a report
     that ``certificate_to_report`` returned. No group dict is built: the
-    lines are filed under their targets as (i, s) pairs and each group is
-    formatted from them when its turn comes. The caller checks the length
-    with ``_require_str_digits`` before writing the first piece."""
+    lines' levels and splits are filed under their targets, and each
+    group is formatted from them when its turn comes. The caller checks
+    the length with ``_require_str_digits`` before writing the first
+    piece."""
     if report._cert is None:
         raise TypeError("report_pieces writes a report that certificate_to_report returned")
     r, two_r = report.r, 2 * report.r
-    filed = [[] for _ in range(r + 1)]
+    levels_at = [[] for _ in range(r + 1)]
+    splits_at = [[] for _ in range(r + 1)]
     for i, s, k in _by_level(report._cert):
-        filed[k].append((i, s))
-    # every level's row of C(e_i, .), since a group takes a line from most levels
-    levels = [
-        (e, _binom_row(e, e // 2), f"a{i}", f"b{i}")
-        for i, e in enumerate(range(two_r, 0, -2), 1)
-    ]
+        levels_at[k].append(i)
+        splits_at[k].append(s)
+    # each level's last split and its C(e_i, s): a group takes one line
+    # from most levels, and the builder's lines of a level come in order
+    # of k with consecutive splits, so the next coefficient is one step of
+    # the recurrence, and one int per level stays alive, not all of them
+    last_s = [0] * (r + 1)
+    last_c = [1] * (r + 1)
     c_slots = _binom_row(two_r, r)
     yield f'{{"r": {r}, "groups": [' if as_json else f"triangle-inequality certificate, length r = {r}"
     sep = ""
-    for k, pairs in enumerate(filed):
-        if not pairs:
+    for k in range(1, r + 1):
+        if not levels_at[k]:
             continue
         rows, terms = [], []
-        for i, s in pairs:
-            e, c_orbits, a, b = levels[i - 1]
-            text = str(c_orbits[s])
-            terms.append(_symmetric_display(text, a, b, e - s, s))
+        for i, s in zip(levels_at[k], splits_at[k]):
+            e = two_r + 2 - 2 * i
+            c = last_c[i] * (e - s + 1) // s if s == last_s[i] + 1 else binom(e, s)
+            last_s[i], last_c[i] = s, c
+            text = str(c)
+            terms.append(_symmetric_display(text, f"a{i}", f"b{i}", e - s, s))
             if as_json:
                 hi, lo = map(_quote, shadow_strings(two_r, e, k))
                 rows.append(

@@ -702,18 +702,21 @@ def test_report_view_renders_as_the_eager_report_and_the_writer(r):
     assert "".join(report_pieces(view, as_json=True)) == json.dumps(payload)
 
 
-def test_report_writer_files_unsorted_lines_by_level():
+def test_report_writer_takes_any_valid_certificate():
+    # level 4 of r = 5 sends its middle orbit (s = 2) to k = 1, below
+    # s = 1's k = 2, so in order of k its splits do not step by one
     sig = GradingSignature(5)
-    cert = load_fixture(5)
+    cert = retarget(search_certificate(sig), 4, 2, 1)
     order = list(range(len(cert.levels)))
     random.Random(5).shuffle(order)
     shuffled = Certificate._from_columns(
         5, *([column[j] for j in order] for column in (cert.levels, cert.splits, cert.targets))
     )
     view = certificate_to_report(sig, cert)
-    assert list(report_pieces(certificate_to_report(sig, shuffled), True)) == list(
-        report_pieces(view, True)
-    )
+    assert view.groups[0]["lines"][-1]["i"] == 4
+    for report in (view, certificate_to_report(sig, shuffled)):
+        assert "".join(report_pieces(report)) == view.render_text()
+        assert "".join(report_pieces(report, True)) == json.dumps(view.to_json())
 
 
 def test_report_writer_needs_a_view():

@@ -37,6 +37,7 @@ _EXPORTS = {
     "check_certificate": "certificate",
     "search_certificate": "certificate",
     "certificate_to_report": "certificate",
+    "report_pieces": "certificate",
     "certificate_to_json": "certificate",
     "certificate_from_json": "certificate",
     "InvalidCertificateError": "certificate",

@@ -364,6 +364,7 @@ def _symmetric_display(c: int | str, a: str, b: str, hi: int, lo: int) -> str:
 
 
 def _group_display(two_r: int, k: int, c_slot: int, terms: list[str]) -> str:
+    """Group k's comparison: its lines' terms <= C(2r, k)'s right-hand term."""
     rhs = _symmetric_display(c_slot, "A", "B", two_r - k, k)
     return f"[k={k}]  {' + '.join(terms)} <= {rhs}"
 
@@ -492,7 +493,10 @@ def report_pieces(report: ProofReport, as_json: bool = False) -> Iterator[str]:
     last_s = [0] * (r + 1)
     last_c = [1] * (r + 1)
     c_slots = _binom_row(two_r, r)
-    yield f'{{"r": {r}, "groups": [' if as_json else f"triangle-inequality certificate, length r = {r}"
+    if as_json:
+        yield f'{{"r": {r}, "groups": ['
+    else:
+        yield f"triangle-inequality certificate, length r = {r}"
     sep = ""
     for k in range(1, r + 1):
         if not levels_at[k]:

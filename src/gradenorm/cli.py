@@ -91,13 +91,8 @@ def _write(*parts: str | Iterable[str]) -> None:
     """Write each string, and each piece of each iterable of strings, to
     stdout as it comes: the output of _emit or print without the object
     or the string they would build."""
-    write = sys.stdout.write
     for part in parts:
-        if isinstance(part, str):
-            write(part)
-        else:
-            for piece in part:
-                write(piece)
+        sys.stdout.writelines([part] if isinstance(part, str) else part)
 
 
 def _json_list(chunks: Iterable[list]) -> Iterator[str]:
@@ -247,7 +242,11 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     if args.json:
         cert_text = json.dumps(cert_json)
         del cert_json  # its rows are not needed while the report streams
-        _write('{"certificate": ', cert_text, ', "report": ', report_pieces(report, True), "}\n")
+        _write(
+            '{"certificate": ', cert_text,
+            ', "report": ', report_pieces(report, as_json=True),
+            "}\n",
+        )
     else:
         _write(report_pieces(report), "\n")
     return 0
@@ -287,7 +286,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     report = certificate_to_report(sig, cert)
     if args.json:
         _write(
-            '{"report": ', report_pieces(report, True),
+            '{"report": ', report_pieces(report, as_json=True),
             ', "lhs_orbits": ', _json_list(orbit_rows(sig)),
             ', "rhs_orbits": ', json.dumps(rhs_table(sig)),
             ', "shadows": ', _json_list(shadow_rows(sig)),

@@ -234,7 +234,11 @@ def test_exact_command_output_is_pinned_for_r_up_to_60(capsys, tmp_path, command
 
 
 # sha256 of the file that prove --out writes (json.dump with indent=2)
-PROVE_OUT_SHA256 = {1: "e23edee83495781d3b77ec8efe4de8f9d23c17b80081af8adc6d9ae71234b561", 5: "d54aeb1c6c1e2c44704659a07f6ddcc705c561018117cdfd39a8b3e4f9d6ea78", 40: "5a723558ef7746a43b43285101ef4d6fc7d076a6cca12ee0c37aa7b7739bc828"}
+PROVE_OUT_SHA256 = {
+    1: "e23edee83495781d3b77ec8efe4de8f9d23c17b80081af8adc6d9ae71234b561",
+    5: "d54aeb1c6c1e2c44704659a07f6ddcc705c561018117cdfd39a8b3e4f9d6ea78",
+    40: "5a723558ef7746a43b43285101ef4d6fc7d076a6cca12ee0c37aa7b7739bc828",
+}
 
 
 @pytest.mark.parametrize("r", list(PROVE_OUT_SHA256))

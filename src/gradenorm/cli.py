@@ -22,8 +22,10 @@ handlers that compute floats (norm, dilate, triangle-sample, hunt), so
 prove, check and report run on the exact modules alone. Those commands
 and --version import no numpy, dataclasses, inspect or typing: this
 module needs argparse, json, os and sys, and the exact core math,
-fractions, operator and collections.abc (tests/test_trusted_core.py
-and the CI workflow check this).
+operator and collections.abc. Nor do they import fractions or decimal,
+which only the functions that build a ``Fraction`` load, and none of
+these commands calls one (tests/test_trusted_core.py and the CI
+workflow check this).
 """
 
 from __future__ import annotations

@@ -38,7 +38,8 @@ checker does. ``orbit_rows`` and ``shadow_rows`` hand out the rows of
 the two large tables a level, or a k, at a time, so that
 ``report --json`` writes them without building either table. Only
 ``shadow`` and ``orbit_exponents`` build ``Fraction`` exponents, for the
-float side and the rational definition of majorization. Pure functions
+float side and the rational definition of majorization, and import
+``fractions`` when called (see ``exactmath``). Pure functions
 throughout. The module imports only ``exactmath``, so the certificate
 checker built on it never loads numpy. The float evaluation of these
 identities (the pure-term cancellation and the Hölder bound per slot)
@@ -48,7 +49,6 @@ lives in ``numeric_search``.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 from math import gcd
 
 from .exactmath import (
@@ -137,6 +137,8 @@ def shadow(sig: GradingSignature, k: int, i: int) -> ShadowPair:
     For i = 1 this reduces to the integers (2r - k, k); for k = r both
     exponents equal e_i/2.
     """
+    from fractions import Fraction
+
     if not 1 <= k <= sig.r:
         raise ValueError(f"target k={k} out of range for r={sig.r}")
     two_r = 2 * sig.r
@@ -146,6 +148,8 @@ def shadow(sig: GradingSignature, k: int, i: int) -> ShadowPair:
 
 def orbit_exponents(sig: GradingSignature, level: int, split: int) -> ExponentPair:
     """The exponent pair (e_i - s, s) of left-hand orbit (i, s)."""
+    from fractions import Fraction
+
     e = sig.exponent(level)
     if not 1 <= split <= e // 2:
         raise ValueError(f"split s={split} out of range for level {level} (e={e})")

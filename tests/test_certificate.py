@@ -337,7 +337,9 @@ def tamper(rng, sig, lines):
             field = rng.choice(["level", "split", "target"])
             bad = {
                 "level": (sig.r + 1, ln.split, ln.target),
-                "split": (ln.level, sig.exponent(ln.level) // 2 + 1, ln.target),
+                # e_i // 2 + 1 for an in-range level; an earlier edit may
+                # have moved this line's level out of range
+                "split": (ln.level, sig.r + 2 - ln.level, ln.target),
                 "target": (ln.level, ln.split, sig.r + rng.randint(1, 3)),
             }[field]
             lines[j] = CertificateLine(*bad)
@@ -412,6 +414,232 @@ def test_violations_name_lines_equal_to_the_input_lines_in_order():
         expected = outcome(reference_check, sig, from_lines)
         assert outcome(check_certificate, sig, from_lines) == expected
         assert outcome(check_certificate, sig, from_json) == expected
+
+
+def test_tamper_draws_past_a_line_moved_out_of_range():
+    # a "range" edit on a line whose level an earlier edit of the same
+    # draw had set to r + 1 raised in the helper itself at draw 300 or so
+    rng = random.Random(7)
+    sig = GradingSignature(7)
+    base = search_certificate(sig).lines
+    for _ in range(300):
+        cert = Certificate(7, tamper(rng, sig, base))
+        assert outcome(check_certificate, sig, cert) == outcome(reference_check, sig, cert)
+
+
+# Tamperings that keep the lines in level order, each breaking one
+# condition of the checker's in-order pass (or, for swapped blocks and
+# swapped lines, only its order). A case returns the tampered (i, s, k)
+# triples, or None where the length has no line to tamper with.
+
+def _blocks(triples):
+    """The triples of each level, in order."""
+    blocks = {}
+    for t in triples:
+        blocks.setdefault(t[0], []).append(t)
+    return list(blocks.values())
+
+
+def _join(blocks):
+    return [t for block in blocks for t in block]
+
+
+def _some_levels(r):
+    return sorted({1, (r + 1) // 2, r})
+
+
+def _split_skipped(sig, triples):
+    # a line's split set to the next one, which is then repeated
+    blocks = _blocks(triples)
+    block = next((b for b in blocks if len(b) >= 2), None)
+    if block is None:
+        return None
+    i, s, k = block[0]
+    block[0] = (i, s + 1, k)
+    return _join(blocks)
+
+
+def _split_repeated(sig, triples):
+    j = len(triples) // 2
+    return triples[: j + 1] + [triples[j]] + triples[j + 1 :]
+
+
+def _last_line_missing(level):
+    def case(sig, triples):
+        blocks = _blocks(triples)
+        del blocks[level - 1][-1]
+        return _join(blocks)
+
+    return case
+
+
+def _extra_line_at_level_1(sig, triples):
+    blocks = _blocks(triples)
+    blocks[0].append(blocks[0][0])
+    return _join(blocks)
+
+
+def _line_appended(sig, triples):
+    return triples + [triples[-1]]
+
+
+def _blocks_swapped(sig, triples):
+    blocks = _blocks(triples)
+    if len(blocks) < 2:
+        return None
+    blocks[0], blocks[-1] = blocks[-1], blocks[0]
+    return _join(blocks)
+
+
+def _level_relabelled(sig, triples):
+    # (i, s, k) as (i + 1, s, k): a line of level i + 1 in level i's block
+    blocks = _blocks(triples)
+    block = next((b for b in blocks[:-1] if len(b) >= 2), None)
+    if block is None:
+        return None
+    i, s, k = block[0]
+    block[0] = (i + 1, s, k)
+    return _join(blocks)
+
+
+def _target_not_rising(step):
+    # a line's target set to its predecessor's, minus step: preferably a
+    # line whose new target still passes the line tests
+    def case(sig, triples):
+        r, picks = sig.r, []
+        for j in range(1, len(triples)):
+            (i0, _, k0), (i, s, _) = triples[j - 1], triples[j]
+            if i0 == i and k0 - step >= 1:
+                ok = reference_line_reason(r, sig.exponent(i), s, k0 - step) is None
+                picks.append((not ok, j, k0 - step))
+        if not picks:
+            return None
+        _, j, k = min(picks)
+        i, s, _ = triples[j]
+        return triples[:j] + [(i, s, k)] + triples[j + 1 :]
+
+    return case
+
+
+def _retarget_failing(reason):
+    # the first line retargeted to fail with ``reason``, preferably one
+    # whose new target still rises between its neighbours'
+    def case(sig, triples):
+        r, picks = sig.r, []
+        for j, (i, s, _) in enumerate(triples):
+            below = triples[j - 1][2] if j and triples[j - 1][0] == i else 0
+            above = triples[j + 1][2] if j + 1 < len(triples) and triples[j + 1][0] == i else r + 1
+            for k in range(1, r + 1):
+                if reference_line_reason(r, sig.exponent(i), s, k) == reason:
+                    picks.append((not below < k < above, j, k))
+        if not picks:
+            return None
+        _, j, k = min(picks)
+        i, s, _ = triples[j]
+        return triples[:j] + [(i, s, k)] + triples[j + 1 :]
+
+    return case
+
+
+def _out_of_range(field):
+    def case(sig, triples):
+        j = len(triples) // 2
+        i, s, k = triples[j]
+        bad = (i, sig.r + 2 - i, k) if field == "split" else (i, s, sig.r + 1)
+        return triples[:j] + [bad] + triples[j + 1 :]
+
+    return case
+
+
+def _in_order_cases(r):
+    yield "split skipped", _split_skipped
+    yield "split repeated", _split_repeated
+    for level in _some_levels(r):
+        yield f"level {level} missing its last line", _last_line_missing(level)
+    yield "extra line at level 1", _extra_line_at_level_1
+    yield "line appended", _line_appended
+    yield "first and last blocks swapped", _blocks_swapped
+    yield "line relabelled to the next level", _level_relabelled
+    yield "target equal to the previous one", _target_not_rising(0)
+    yield "target below the previous one", _target_not_rising(1)
+    yield "k = r on a non-middle orbit", _retarget_failing("middle_mismatch")
+    yield "retarget failing the coefficient test", _retarget_failing("coefficient")
+    yield "retarget failing majorization", _retarget_failing("majorization")
+    yield "split out of range", _out_of_range("split")
+    yield "target out of range", _out_of_range("target")
+
+
+@pytest.mark.parametrize("r", [1, 2, 5, 12, 40])
+def test_checker_matches_reference_on_tamperings_in_level_order(r):
+    sig = GradingSignature(r)
+    cert = search_certificate(sig)
+    base = list(zip(cert.levels, cert.splits, cert.targets))
+    ran = Counter()
+    for name, case in _in_order_cases(r):
+        triples = case(sig, list(base))
+        if triples is None:
+            continue
+        tampered = Certificate(r, tuple(CertificateLine(*t) for t in triples))
+        expected = outcome(reference_check, sig, tampered)
+        assert outcome(check_certificate, sig, tampered) == expected, name
+        ran["raised" if isinstance(expected, str) else expected.valid] += 1
+    # at r = 1 only the repeats, the missing line and the ranges apply;
+    # swapped blocks (and at r = 5 a target moved below) stay valid
+    invalid, valid = {1: (4, 0), 2: (10, 1), 5: (12, 2), 12: (13, 1), 40: (13, 1)}[r]
+    assert ran == Counter({False: invalid, True: valid, "raised": 2})
+
+
+@pytest.mark.parametrize("r", [5, 12, 40])
+def test_in_order_tamperings_that_only_the_order_catches(r):
+    # each of these changes one line, keeps the count, and leaves a line
+    # that the pass, were it to skip the condition it breaks, would accept
+    sig = GradingSignature(r)
+    cert = search_certificate(sig)
+    base = list(zip(cert.levels, cert.splits, cert.targets))
+    for case in (_split_skipped, _level_relabelled, _target_not_rising(0)):
+        triples = case(sig, list(base))
+        (j,) = [j for j, (t, b) in enumerate(zip(triples, base)) if t != b]
+        # the line the pass expects there, with the tampered target
+        i, s, _ = base[j]
+        assert reference_line_reason(r, sig.exponent(i), s, triples[j][2]) is None
+    # the majorization retarget keeps the targets of its level rising
+    triples = _retarget_failing("majorization")(sig, list(base))
+    assert len(triples) == len(base)
+    for level in _blocks(triples):
+        assert all(a[2] < b[2] for a, b in zip(level, level[1:]))
+
+
+def _no_fallback(monkeypatch):
+    def fallback(cert):
+        raise AssertionError("check_certificate took the fallback")
+
+    monkeypatch.setattr(certificate_mod, "_by_level", fallback)
+
+
+def test_builder_certificates_are_checked_in_one_in_order_pass(monkeypatch):
+    rows = []
+    real_row = certificate_mod._binom_row
+    monkeypatch.setattr(certificate_mod, "_binom_row", lambda n, t: rows.append(n) or real_row(n, t))
+    _no_fallback(monkeypatch)
+    for r in range(1, 61):
+        sig = GradingSignature(r)
+        rows.clear()
+        assert check_certificate(sig, search_certificate(sig)) == CheckReport(True, ())
+        assert rows == [2 * r]  # the row of C(2r, k), no row per level
+    rows.clear()
+    assert check_certificate(GradingSignature(5), load_fixture(5)).valid
+    assert rows == [10]
+
+
+def test_valid_certificate_with_two_lines_swapped_in_a_level_checks_valid(monkeypatch):
+    sig = GradingSignature(12)
+    lines = list(search_certificate(sig).lines)
+    lines[3], lines[7] = lines[7], lines[3]  # level 1 has splits 1..12
+    cert = Certificate(12, tuple(lines))
+    assert check_certificate(sig, cert) == CheckReport(True, ()) == reference_check(sig, cert)
+    _no_fallback(monkeypatch)
+    with pytest.raises(AssertionError, match="fallback"):
+        check_certificate(sig, cert)
 
 
 def test_binomial_rows_equal_math_comb():

@@ -1,11 +1,13 @@
 """The exact core (exactmath, expansion, certificate) and the commands
 built on it alone (check, prove, report, --version) must run without
-numpy, the float modules, dataclasses and inspect, and check, prove and
-report build no Fraction; the package exports every public name lazily.
+numpy, the float modules, dataclasses and inspect, and without loading
+fractions or decimal; check, prove and report build no Fraction. The
+package exports every public name lazily.
 The core's value classes keep the behaviour they had as frozen
 dataclasses."""
 
 import copy
+import fractions
 import json
 import os
 import pickle
@@ -17,7 +19,6 @@ from pathlib import Path
 import pytest
 
 import gradenorm
-from gradenorm import exactmath, expansion
 from gradenorm.certificate import (
     Certificate,
     CertificateLine,
@@ -69,7 +70,13 @@ def test_exact_commands_do_not_load_numpy():
         "slow = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
         "assert not slow, f'loaded {slow}'\n"
     )
-    result = run_python(source + _ASSERT_FLOAT_FREE + no_dataclasses)
+    # fractions (with decimal and numbers) is imported by the functions
+    # that build a Fraction, which these commands never call
+    no_fractions = (
+        "rational = [m for m in ('fractions', 'decimal') if m in sys.modules]\n"
+        "assert not rational, f'loaded {rational}'\n"
+    )
+    result = run_python(source + _ASSERT_FLOAT_FREE + no_dataclasses + no_fractions)
     assert result.returncode == 0, result.stderr
     # the commands really ran: three JSON documents and the version line
     *documents, version = result.stdout.splitlines()
@@ -94,8 +101,7 @@ def test_exact_commands_build_no_fraction(monkeypatch, capsys, argv):
     def no_fraction(*args):
         raise AssertionError(f"Fraction{args} built")
 
-    monkeypatch.setattr(exactmath, "Fraction", no_fraction)
-    monkeypatch.setattr(expansion, "Fraction", no_fraction)
+    monkeypatch.setattr(fractions, "Fraction", no_fraction)
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)
 

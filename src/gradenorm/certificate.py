@@ -291,17 +291,19 @@ def _valid_in_order(r: int, exponents, cert: Certificate, c_slots: list[int]) ->
     orbit of ``orbit_triples``, the targets of each level rise strictly
     within 1..r, and every line passes ``_line_reason``, with C(e_i, s)
     stepped by the recurrence. False otherwise, naming no violation."""
-    lines = zip(cert.levels, cert.splits, cert.targets)
+    levels, splits, targets = cert.levels, cert.splits, cert.targets
+    j = 0
     for i, e in enumerate(exponents, 1):
         c, last_k = 1, 0
-        # range first, so that zip takes no line past the level's last
-        for s, (level, split, k) in zip(range(1, e // 2 + 1), lines):
-            if level != i or split != s or not last_k < k <= r:
+        for s in range(1, e // 2 + 1):
+            k = targets[j]
+            if levels[j] != i or splits[j] != s or not last_k < k <= r:
                 return False
             c = c * (e + 1 - s) // s
             if _line_reason(r, e, s, k, c, c_slots[k]) is not None:
                 return False
             last_k = k
+            j += 1
     return True
 
 

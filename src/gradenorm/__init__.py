@@ -22,7 +22,6 @@ _EXPORTS = {
     "GradingSignature": "exactmath",
     "binom": "exactmath",
     "majorizes": "exactmath",
-    "rational_to_str": "exactmath",
     "TermOrbit": "expansion",
     "ShadowPair": "expansion",
     "lhs_orbits": "expansion",

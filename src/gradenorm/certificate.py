@@ -67,10 +67,9 @@ pass asks ``_line_reason`` all the same.) Every other certificate, and
 one that fails a condition of the pass, takes the general path
 unchanged: sets of its orbits and slots, and its lines level by level
 with one row of C(e_i, s) per level, so a violation is named and listed
-in one order whatever the path. A report's ``groups`` walks the columns
-level by level as the general path does; ``report_pieces`` walks by
-target instead and keeps one coefficient per level, stepping it by the
-same recurrence.
+in one order whatever the path. A report walks by target instead, in
+one place, ``_group_texts``, and keeps one coefficient per level,
+stepping it by the same recurrence.
 
 Storage. A ``Certificate`` is the checker's own form: three int columns,
 ``levels``, ``splits`` and ``targets``. The builder and
@@ -87,11 +86,14 @@ at r = 2000 from 207 to 564 MB.
 and keeps it; a ``Violation`` carries a ``CertificateLine`` built for
 the one line it names. Reports read the columns too:
 ``certificate_to_report`` checks the certificate and returns a
-``ProofReport`` view over it, which builds its group dicts only when
-``groups`` is first read. ``report_pieces`` files each line's level and
-split under its target k and formats one group at a time, so ``prove``
-and ``report`` print a proof of any length with no dict, string or
-coefficient per line alive at once.
+``ProofReport`` view over it, which builds nothing until it is read.
+``_group_texts`` files each line's level and split under its target k
+and formats one group at a time, as display text or as JSON text; it is
+the only formatter of a report. ``report_pieces`` writes its groups
+between the header and the separators, so ``prove`` and ``report``
+print a proof of any length with no dict, string or coefficient per
+line alive at once, and a view's ``groups`` are the dicts that
+``json.loads`` makes of its JSON group texts.
 
 The builder is untrusted by design: whatever it returns is re-checked.
 It targets each orbit at k = floor(n s / e) with n = 2r and
@@ -110,6 +112,7 @@ coordination.
 
 from __future__ import annotations
 
+import json
 import sys
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _quote
@@ -432,30 +435,50 @@ def _group_display(two_r: int, k: int, c_slot: int, terms: list[str]) -> str:
     return f"[k={k}]  {' + '.join(terms)} <= {rhs}"
 
 
-def _report_groups(r: int, cert: Certificate) -> tuple[dict, ...]:
-    """The group dicts of a checked certificate: each line's record and
-    display term filed under its target k, level by level; a valid
-    certificate spends each slot (k, i) once."""
-    two_r = 2 * r
-    rows_at = [[] for _ in range(r + 1)]
-    terms_at = [[] for _ in range(r + 1)]
-    level = 0
+def _group_texts(cert: Certificate, as_json: bool) -> Iterator[str]:
+    """The groups of a checked certificate, by target k: each group's
+    display text, or with ``as_json`` its JSON object text. The lines'
+    levels and splits are filed under their targets, and each group is
+    formatted from them when its turn comes; a valid certificate spends
+    each slot (k, i) once."""
+    r, two_r = cert.r, 2 * cert.r
+    levels_at = [[] for _ in range(r + 1)]
+    splits_at = [[] for _ in range(r + 1)]
     for i, s, k in _by_level(cert):
-        if i != level:
-            level, e = i, two_r + 2 - 2 * i
-            c_orbits = _binom_row(e, e // 2)
-            a, b = f"a{i}", f"b{i}"
-        c = c_orbits[s]
-        hi = e - s
-        rows_at[k].append({"i": i, "s": s, "coefficient": c, "orbit_exponents": [hi, s],
-                           "shadow_exponents": shadow_strings(two_r, e, k)})
-        terms_at[k].append(_symmetric_display(c, a, b, hi, s))
+        levels_at[k].append(i)
+        splits_at[k].append(s)
+    # each level's last split and its C(e_i, s): a group takes one line
+    # from most levels, and the builder's lines of a level come in order
+    # of k with consecutive splits, so the next coefficient is one step of
+    # the recurrence, and one int per level stays alive, not all of them
+    last_s = [0] * (r + 1)
+    last_c = [1] * (r + 1)
     c_slots = _binom_row(two_r, r)
-    return tuple(
-        {"k": k, "rhs_coefficient": c_slots[k], "is_middle": k == r,
-         "display": _group_display(two_r, k, c_slots[k], terms_at[k]), "lines": tuple(rows_at[k])}
-        for k in range(1, r + 1) if rows_at[k]
-    )
+    for k in range(1, r + 1):
+        if not levels_at[k]:
+            continue
+        rows, terms = [], []
+        for i, s in zip(levels_at[k], splits_at[k]):
+            e = two_r + 2 - 2 * i
+            c = last_c[i] * (e - s + 1) // s if s == last_s[i] + 1 else binom(e, s)
+            last_s[i], last_c[i] = s, c
+            text = str(c)
+            terms.append(_symmetric_display(text, f"a{i}", f"b{i}", e - s, s))
+            if as_json:
+                hi, lo = map(_quote, shadow_strings(two_r, e, k))
+                rows.append(
+                    f'{{"i": {i}, "s": {s}, "coefficient": {text}, "orbit_exponents": '
+                    f'[{e - s}, {s}], "shadow_exponents": [{hi}, {lo}]}}'
+                )
+        display = _group_display(two_r, k, c_slots[k], terms)
+        if not as_json:
+            yield display
+            continue
+        middle = "true" if k == r else "false"
+        yield (
+            f'{{"k": {k}, "rhs_coefficient": {c_slots[k]}, "is_middle": {middle}, '
+            f'"display": {_quote(display)}, "lines": [{", ".join(rows)}]}}'
+        )
 
 
 class ProofReport(FrozenValue):
@@ -467,11 +490,14 @@ class ProofReport(FrozenValue):
 
     ``ProofReport(r, groups)`` keeps the groups it is given.
     ``certificate_to_report`` returns a view instead, over the columns of
-    the certificate it checked. A view's ``groups`` builds the tuple of
-    group dicts on first read and keeps it, as ``Certificate.lines`` does;
-    ``report_pieces`` writes its text or JSON a group at a time without
-    building them. Equality, hash and repr read ``r`` and ``groups``,
-    whichever way the report was built."""
+    the certificate it checked. A view's ``groups`` parses the JSON text
+    of each group that ``report_pieces`` would write, on first read, and
+    keeps the tuple, as ``Certificate.lines`` does; so, like
+    ``render_text`` and ``to_json``, it raises ``ValueError`` past the
+    int-to-str digit limit (``_require_str_digits``). ``report_pieces``
+    writes the text or JSON a group at a time without building the
+    dicts. Equality, hash and repr read ``r`` and ``groups``, whichever
+    way the report was built."""
 
     __match_args__ = ("r", "groups")
 
@@ -493,7 +519,9 @@ class ProofReport(FrozenValue):
     @property
     def groups(self) -> tuple[dict, ...]:
         if self._groups is None:
-            object.__setattr__(self, "_groups", _report_groups(self.r, self._cert))
+            groups = map(json.loads, _group_texts(self._cert, as_json=True))
+            groups = tuple(dict(g, lines=tuple(g["lines"])) for g in groups)
+            object.__setattr__(self, "_groups", groups)
         return self._groups
 
     def render_text(self) -> str:
@@ -536,59 +564,24 @@ def _require_str_digits(r: int) -> None:
 def report_pieces(report: ProofReport, as_json: bool = False) -> Iterator[str]:
     """The text of ``report.render_text()``, or with ``as_json`` that of
     ``json.dumps(report.to_json())``, in pieces, one a group, for a report
-    that ``certificate_to_report`` returned. No group dict is built: the
-    lines' levels and splits are filed under their targets, and each
-    group is formatted from them when its turn comes. The caller checks
-    the length with ``_require_str_digits`` before writing the first
-    piece."""
+    that ``certificate_to_report`` returned. The groups come from
+    ``_group_texts``, the one formatter of a report, whose JSON texts a
+    view's ``groups`` also parses; no group dict is built here. Past the
+    int-to-str digit limit a piece raises ``ValueError``, so the caller
+    checks the length with ``_require_str_digits`` before writing the
+    first piece."""
     if report._cert is None:
         raise TypeError("report_pieces writes a report that certificate_to_report returned")
-    r, two_r = report.r, 2 * report.r
-    levels_at = [[] for _ in range(r + 1)]
-    splits_at = [[] for _ in range(r + 1)]
-    for i, s, k in _by_level(report._cert):
-        levels_at[k].append(i)
-        splits_at[k].append(s)
-    # each level's last split and its C(e_i, s): a group takes one line
-    # from most levels, and the builder's lines of a level come in order
-    # of k with consecutive splits, so the next coefficient is one step of
-    # the recurrence, and one int per level stays alive, not all of them
-    last_s = [0] * (r + 1)
-    last_c = [1] * (r + 1)
-    c_slots = _binom_row(two_r, r)
-    if as_json:
-        yield f'{{"r": {r}, "groups": ['
-    else:
-        yield f"triangle-inequality certificate, length r = {r}"
-    sep = ""
-    for k in range(1, r + 1):
-        if not levels_at[k]:
-            continue
-        rows, terms = [], []
-        for i, s in zip(levels_at[k], splits_at[k]):
-            e = two_r + 2 - 2 * i
-            c = last_c[i] * (e - s + 1) // s if s == last_s[i] + 1 else binom(e, s)
-            last_s[i], last_c[i] = s, c
-            text = str(c)
-            terms.append(_symmetric_display(text, f"a{i}", f"b{i}", e - s, s))
-            if as_json:
-                hi, lo = map(_quote, shadow_strings(two_r, e, k))
-                rows.append(
-                    f'{{"i": {i}, "s": {s}, "coefficient": {text}, "orbit_exponents": '
-                    f'[{e - s}, {s}], "shadow_exponents": [{hi}, {lo}]}}'
-                )
-        display = _group_display(two_r, k, c_slots[k], terms)
-        if not as_json:
+    groups = _group_texts(report._cert, as_json)
+    if not as_json:
+        yield f"triangle-inequality certificate, length r = {report.r}"
+        for display in groups:
             yield "\n" + display
-            continue
-        middle = "true" if k == r else "false"
-        yield (
-            f'{sep}{{"k": {k}, "rhs_coefficient": {c_slots[k]}, "is_middle": {middle}, '
-            f'"display": {_quote(display)}, "lines": [{", ".join(rows)}]}}'
-        )
-        sep = ", "
-    if as_json:
-        yield "]}"
+        return
+    yield f'{{"r": {report.r}, "groups": ['
+    for n, group in enumerate(groups):
+        yield ", " + group if n else group
+    yield "]}"
 
 
 # ---------------------------------------------------------------------------

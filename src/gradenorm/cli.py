@@ -11,11 +11,12 @@ hunt sweep.
 
 prove and report write their text or JSON in pieces, a group of the
 proof or a chunk of a table at a time (``certificate.report_pieces``,
-``_json_list``), with the bytes that one ``json.dumps`` or ``print``
-would give; so memory stays linear in the certificate, not in the
-output. The failures they can foresee come before the first byte: the
-check, and the int-to-str digit limit that C(2r, r) passes from
-r = 7,146 (``certificate._require_str_digits``), which exits 2.
+``expansion.orbit_pieces`` and ``shadow_pieces``), with the bytes that
+one ``json.dumps`` or ``print`` would give; so memory stays linear in
+the certificate, not in the output. The failures they can foresee come
+before the first byte: the check, and the int-to-str digit limit that
+C(2r, r) passes from r = 7,146 (``certificate._require_str_digits``),
+which exits 2.
 
 numpy, ``graded_space`` and ``numeric_search`` are imported inside the
 handlers that compute floats (norm, dilate, triangle-sample, hunt), so
@@ -34,7 +35,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import __version__
 from .certificate import (
@@ -48,7 +49,7 @@ from .certificate import (
     search_certificate,
 )
 from .exactmath import GradingSignature
-from .expansion import orbit_rows, rhs_table, shadow_rows
+from .expansion import orbit_pieces, rhs_table, shadow_pieces
 
 __all__ = ["main", "entrypoint"]
 
@@ -95,17 +96,6 @@ def _write(*parts: str | Iterable[str]) -> None:
     or the string they would build."""
     for part in parts:
         sys.stdout.writelines([part] if isinstance(part, str) else part)
-
-
-def _json_list(chunks: Iterable[list]) -> Iterator[str]:
-    """``json.dumps`` of the list of every row of ``chunks``, one nonempty
-    list of rows at a time."""
-    yield "["
-    sep = ""
-    for rows in chunks:
-        yield sep + json.dumps(rows)[1:-1]
-        sep = ", "
-    yield "]"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -289,9 +279,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.json:
         _write(
             '{"report": ', report_pieces(report, as_json=True),
-            ', "lhs_orbits": ', _json_list(orbit_rows(sig)),
+            ', "lhs_orbits": ', orbit_pieces(sig),
             ', "rhs_orbits": ', json.dumps(rhs_table(sig)),
-            ', "shadows": ', _json_list(shadow_rows(sig)),
+            ', "shadows": ', shadow_pieces(sig),
             "}\n",
         )
     else:

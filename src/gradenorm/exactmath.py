@@ -5,23 +5,23 @@ majorization predicate.
 The certificate checker and report use ``GradingSignature`` and the
 ``"p/q"`` wire format of ``ratio_to_str``, which takes an integer pair,
 so they build no ``Fraction``. ``check_line`` compares ``binom`` values;
-the batch checker, the report and ``expansion.orbit_table`` take the
-same integers from rows that ``_binom_row`` builds by an exact
-recurrence. ``ExponentPair`` and ``majorizes`` are the definition of
-majorization on rational exponents; a certificate line's two pairs have
-equal degree, so the checker tests it as one integer comparison, and
-its tests compare the two. Every comparison here is exact. Rationals
-are ``fractions.Fraction`` values, which are always stored reduced with
-a positive denominator and compare by big-integer cross
-multiplication. ``fractions`` (which loads ``decimal`` and ``numbers``)
-is imported inside the functions that build a ``Fraction``:
-``rational_to_str`` and ``ExponentPair`` here, ``expansion.shadow`` and
-``expansion.orbit_exponents``. The checker and the report call none of
-them, so ``check``, ``prove``, ``report`` and ``--version`` never load
-it, which saves about 3 ms of each start-up. The module imports only
-the standard library and holds no numeric routine;
-``ExponentPair.as_floats`` only hands exponents to the float side
-(``graded_space``, ``numeric_search``).
+the batch checker takes them from rows that ``_binom_row`` builds by an
+exact recurrence, as ``expansion.orbit_pieces`` does, or steps them
+along a level by the same recurrence, as the report's writer does.
+``ExponentPair`` and ``majorizes`` are the definition of majorization on
+rational exponents; a certificate line's two pairs have equal degree, so
+the checker tests it as one integer comparison, and its tests compare
+the two. Every comparison here is exact. Rationals are
+``fractions.Fraction`` values, which are always stored reduced with a
+positive denominator and compare by big-integer cross multiplication.
+``fractions`` (which loads ``decimal`` and ``numbers``) is imported
+inside the functions that build a ``Fraction``: ``ExponentPair`` here,
+``expansion.shadow`` and ``expansion.orbit_exponents``. The checker and
+the report call none of them, so ``check``, ``prove``, ``report`` and
+``--version`` never load it, which saves about 3 ms of each start-up.
+The module imports only the standard library and holds no numeric
+routine; ``ExponentPair.as_floats`` only hands exponents to the float
+side (``graded_space``, ``numeric_search``).
 
 All functions are pure and all values immutable, so concurrent use
 needs no coordination.
@@ -48,7 +48,6 @@ __all__ = [
     "ExponentPair",
     "binom",
     "majorizes",
-    "rational_to_str",
     "ratio_to_str",
 ]
 
@@ -140,14 +139,6 @@ def ratio_to_str(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-def rational_to_str(x: Fraction | int) -> str:
-    """``ratio_to_str`` of anything ``Fraction`` accepts."""
-    from fractions import Fraction
-
-    x = Fraction(x)
-    return ratio_to_str(x.numerator, x.denominator)
-
-
 class ExponentPair(FrozenValue):
     """An unordered pair of nonnegative rational exponents.
 
@@ -176,7 +167,8 @@ class ExponentPair(FrozenValue):
         return float(self.hi), float(self.lo)
 
     def __str__(self) -> str:
-        return f"({rational_to_str(self.hi)}, {rational_to_str(self.lo)})"
+        hi, lo = (ratio_to_str(x.numerator, x.denominator) for x in (self.hi, self.lo))
+        return f"({hi}, {lo})"
 
 
 def majorizes(p: ExponentPair, q: ExponentPair) -> bool:

@@ -26,28 +26,33 @@ spend.
 
 This module is the one integer ledger of the expansion. The orbit list
 (``orbit_triples``) and the shadow scaled by 2r (``scaled_shadow``) are
-defined here only. The checker walks the orbit list, and the builder
-the same orbits a level at a time. ``shadow`` takes the shadow from
-``scaled_shadow``; the report and ``shadow_table`` take it in the
-``"p/q"`` wire format from ``shadow_strings``, which reduces it with
-one gcd. The checker's one-comparison majorization test needs neither
-(see ``certificate``). ``rhs_table`` is the one list of right-hand
-orbits. Coefficients are big integers; ``orbit_table`` reads them from
-one row of C(e_i, s) per level (``exactmath._binom_row``), as the
-checker does. ``orbit_rows`` and ``shadow_rows`` hand out the rows of
-the two large tables a level, or a k, at a time, so that
-``report --json`` writes them without building either table. Only
+defined here only. The checker walks the orbit list, and the builder the
+same orbits a level at a time. ``shadow`` takes the shadow from
+``scaled_shadow``; the report and ``shadow_pieces`` take it in the
+``"p/q"`` wire format from ``shadow_strings``, which reduces it with one
+gcd. The checker's one-comparison majorization test needs neither (see
+``certificate``). ``rhs_table`` is the one list of right-hand orbits.
+Coefficients are big integers; ``orbit_pieces`` reads them from one row
+of C(e_i, s) per level (``exactmath._binom_row``), as the checker's
+general path does. ``orbit_pieces`` and ``shadow_pieces`` are the only
+formatters of the two large tables: they write the text of
+``json.dumps`` of each a level, or a k, at a time, so that
+``report --json`` writes them without building either table, and
+``orbit_table`` and ``shadow_table`` are the rows that ``json.loads``
+makes of that text. So ``orbit_table``, like the report, raises
+``ValueError`` once C(2r, r) passes the int-to-str digit limit. Only
 ``shadow`` and ``orbit_exponents`` build ``Fraction`` exponents, for the
 float side and the rational definition of majorization, and import
 ``fractions`` when called (see ``exactmath``). Pure functions
-throughout. The module imports only ``exactmath``, so the certificate
-checker built on it never loads numpy. The float evaluation of these
-identities (the pure-term cancellation and the Hölder bound per slot)
-lives in ``numeric_search``.
+throughout. The module imports only ``json`` and ``exactmath``, so the
+certificate checker built on it never loads numpy. The float evaluation
+of these identities (the pure-term cancellation and the Hölder bound per
+slot) lives in ``numeric_search``.
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterator
 from math import gcd
 
@@ -68,10 +73,10 @@ __all__ = [
     "lhs_orbits",
     "shadow",
     "orbit_exponents",
-    "orbit_rows",
+    "orbit_pieces",
     "orbit_table",
     "rhs_table",
-    "shadow_rows",
+    "shadow_pieces",
     "shadow_table",
 ]
 
@@ -160,26 +165,28 @@ def orbit_exponents(sig: GradingSignature, level: int, split: int) -> ExponentPa
 # JSON-ready listings (consumed by the report command)
 # ---------------------------------------------------------------------------
 
-def orbit_rows(sig: GradingSignature) -> Iterator[list[dict]]:
-    """The rows of ``orbit_table``, one list a level, each coefficient
+def orbit_pieces(sig: GradingSignature) -> Iterator[str]:
+    """The text of ``json.dumps(orbit_table(sig))`` in r + 2 pieces: the
+    brackets, and the rows of one level each, with each coefficient
     C(e_i, s) read from one binomial row per level."""
+    yield "["
+    sep = ""
     for i, e in enumerate(sig.exponents, 1):
-        coefficients = _binom_row(e, e // 2)
-        yield [
-            {
-                "i": i,
-                "s": s,
-                "coefficient": coefficients[s],
-                "is_middle": s == e // 2,
-                "exponents": [e - s, s],
-            }
-            for s in range(1, e // 2 + 1)
-        ]
+        m = e // 2
+        coefficients = _binom_row(e, m)
+        yield sep + ", ".join(
+            f'{{"i": {i}, "s": {s}, "coefficient": {coefficients[s]}, '
+            f'"is_middle": {"true" if s == m else "false"}, "exponents": [{e - s}, {s}]}}'
+            for s in range(1, m + 1)
+        )
+        sep = ", "
+    yield "]"
 
 
 def orbit_table(sig: GradingSignature) -> list[dict]:
-    """One row per left-hand orbit, by level and then split."""
-    return [row for rows in orbit_rows(sig) for row in rows]
+    """One row per left-hand orbit, by level and then split, parsed from
+    ``orbit_pieces``."""
+    return json.loads("".join(orbit_pieces(sig)))
 
 
 def rhs_table(sig: GradingSignature) -> list[dict]:
@@ -197,17 +204,23 @@ def rhs_table(sig: GradingSignature) -> list[dict]:
     ]
 
 
-def shadow_rows(sig: GradingSignature) -> Iterator[list[dict]]:
-    """The rows of ``shadow_table``, one list for each k."""
+def shadow_pieces(sig: GradingSignature) -> Iterator[str]:
+    """The text of ``json.dumps(shadow_table(sig))`` in r + 2 pieces: the
+    brackets, and the rows of one k each."""
     two_r = 2 * sig.r
+    yield "["
+    sep = ""
     for k in range(1, sig.r + 1):
-        yield [
-            {"k": k, "i": i, "hi": hi, "lo": lo}
+        yield sep + ", ".join(
+            f'{{"k": {k}, "i": {i}, "hi": "{hi}", "lo": "{lo}"}}'
             for i, e in enumerate(sig.exponents, 1)
             for hi, lo in [shadow_strings(two_r, e, k)]
-        ]
+        )
+        sep = ", "
+    yield "]"
 
 
 def shadow_table(sig: GradingSignature) -> list[dict]:
-    """The shadow of every slot (k, i) in the wire format, by k and then i."""
-    return [row for rows in shadow_rows(sig) for row in rows]
+    """The shadow of every slot (k, i) in the wire format, by k and then
+    i, parsed from ``shadow_pieces``."""
+    return json.loads("".join(shadow_pieces(sig)))

@@ -31,8 +31,8 @@ from gradenorm.certificate import (
     search_certificate,
 )
 from gradenorm.cli import main
-from gradenorm.exactmath import ExponentPair, binom, majorizes
-from gradenorm.expansion import lhs_orbits
+from gradenorm.exactmath import ExponentPair, binom, majorizes, ratio_to_str
+from gradenorm.expansion import lhs_orbits, scaled_shadow
 from gradenorm.graded_space import GradingSignature
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -906,21 +906,72 @@ def test_report_view_renders_as_the_eager_report_and_the_writer(r):
     assert "".join(report_pieces(view, as_json=True)) == json.dumps(payload)
 
 
-def test_report_writer_takes_any_valid_certificate():
-    # level 4 of r = 5 sends its middle orbit (s = 2) to k = 1, below
-    # s = 1's k = 2, so in order of k its splits do not step by one
-    sig = GradingSignature(5)
-    cert = retarget(search_certificate(sig), 4, 2, 1)
+def retargeted_and_shuffled_r5():
+    """Two valid r = 5 certificates the builder does not emit: level 4
+    sends its middle orbit (s = 2) to k = 1, below s = 1's k = 2, so in
+    order of k its splits do not step by one; and the same lines
+    shuffled, so the levels do not ascend."""
+    cert = retarget(search_certificate(GradingSignature(5)), 4, 2, 1)
     order = list(range(len(cert.levels)))
     random.Random(5).shuffle(order)
     shuffled = Certificate._from_columns(
         5, *([column[j] for j in order] for column in (cert.levels, cert.splits, cert.targets))
     )
+    return cert, shuffled
+
+
+def test_report_writer_takes_any_valid_certificate():
+    sig = GradingSignature(5)
+    cert, shuffled = retargeted_and_shuffled_r5()
     view = certificate_to_report(sig, cert)
     assert view.groups[0]["lines"][-1]["i"] == 4
     for report in (view, certificate_to_report(sig, shuffled)):
         assert "".join(report_pieces(report)) == view.render_text()
         assert "".join(report_pieces(report, True)) == json.dumps(view.to_json())
+
+
+def _reference_groups(cert):
+    """The groups of a valid certificate, from its columns, ``math.comb``
+    and ``scaled_shadow``, without the report code."""
+
+    def power(x, p):
+        return x if p == 1 else f"{x}^{p}"
+
+    def symmetric(c, a, b, hi, lo):
+        if hi == lo:
+            return f"{c} {power(a, hi)} {power(b, hi)}"
+        return f"{c}({power(a, hi)} {power(b, lo)} + {power(a, lo)} {power(b, hi)})"
+
+    r, two_r = cert.r, 2 * cert.r
+    lines = sorted(zip(cert.levels, cert.splits, cert.targets))
+    groups = []
+    for k in range(1, r + 1):
+        rows, terms = [], []
+        for i, s, _ in (line for line in lines if line[2] == k):
+            e = two_r + 2 - 2 * i
+            c = math.comb(e, s)
+            hi, lo = scaled_shadow(two_r, e, k)
+            rows.append({"i": i, "s": s, "coefficient": c, "orbit_exponents": [e - s, s],
+                         "shadow_exponents": [ratio_to_str(hi, two_r), ratio_to_str(lo, two_r)]})
+            terms.append(symmetric(c, f"a{i}", f"b{i}", e - s, s))
+        if rows:
+            c_slot = math.comb(two_r, k)
+            display = f"[k={k}]  {' + '.join(terms)} <= {symmetric(c_slot, 'A', 'B', two_r - k, k)}"
+            groups.append({"k": k, "rhs_coefficient": c_slot, "is_middle": k == r,
+                           "display": display, "lines": tuple(rows)})
+    return tuple(groups)
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_report_view_groups_match_a_reference_built_from_the_columns(r):
+    sig = GradingSignature(r)
+    certs = [search_certificate(sig)]
+    if r == 5:
+        certs += retargeted_and_shuffled_r5()
+    for cert in certs:
+        groups, expected = certificate_to_report(sig, cert).groups, _reference_groups(cert)
+        assert groups == expected
+        assert repr(groups) == repr(expected)  # key order, and tuples of lines
 
 
 def test_report_writer_needs_a_view():

@@ -10,12 +10,12 @@ from gradenorm.exactmath import ExponentPair, binom, ratio_to_str
 from gradenorm.expansion import (
     lhs_orbits,
     orbit_exponents,
-    orbit_rows,
+    orbit_pieces,
     orbit_table,
     rhs_table,
     scaled_shadow,
     shadow,
-    shadow_rows,
+    shadow_pieces,
     shadow_strings,
     shadow_table,
 )
@@ -249,15 +249,33 @@ def test_shadow_strings_are_the_scaled_shadow_over_2r(r):
             assert shadow_strings(two_r, e, k) == [ratio_to_str(hi, two_r), ratio_to_str(lo, two_r)]
 
 
-@pytest.mark.parametrize("r", [1, 4, 9])
-def test_row_chunks_are_the_tables_a_level_or_a_k_at_a_time(r):
+@pytest.mark.parametrize("r", range(1, 13))
+def test_tables_match_a_reference_built_from_the_orbits_and_shadows(r):
     sig = GradingSignature(r)
-    levels = list(orbit_rows(sig))
-    assert [len(rows) for rows in levels] == [e // 2 for e in sig.exponents]
-    assert [row for rows in levels for row in rows] == orbit_table(sig)
-    targets = list(shadow_rows(sig))
-    assert [{row["k"] for row in rows} for rows in targets] == [{k} for k in range(1, r + 1)]
-    assert [row for rows in targets for row in rows] == shadow_table(sig)
+    orbits = [
+        {"i": o.level, "s": o.split, "coefficient": o.coefficient, "is_middle": o.is_middle,
+         "exponents": [sig.exponent(o.level) - o.split, o.split]}
+        for o in lhs_orbits(sig)
+    ]
+    shadows = []
+    for k in range(1, r + 1):
+        for i in range(1, r + 1):
+            pair = shadow(sig, k, i).exponents
+            hi, lo = (ratio_to_str(x.numerator, x.denominator) for x in (pair.hi, pair.lo))
+            shadows.append({"k": k, "i": i, "hi": hi, "lo": lo})
+    for table, expected in ((orbit_table, orbits), (shadow_table, shadows)):
+        rows = table(sig)
+        assert rows == expected
+        assert json.dumps(rows) == json.dumps(expected)  # key order too
+
+
+@pytest.mark.parametrize("r", [1, 4, 9])
+def test_table_pieces_are_the_tables_json_a_level_or_a_k_at_a_time(r):
+    sig = GradingSignature(r)
+    for pieces, table in ((orbit_pieces, orbit_table), (shadow_pieces, shadow_table)):
+        texts = list(pieces(sig))
+        assert len(texts) == r + 2
+        assert "".join(texts) == json.dumps(table(sig))
 
 
 def _sha256_lines(texts):

@@ -45,31 +45,28 @@ leading exponent is e_i (2r - k)/2r, and since s <= e_i/2 the orbit's is
 e_i - s, so (b) is e_i (2r - k) >= 2r (e_i - s), that is e_i k <= 2r s.
 This holds by algebra for every in-range line, not only the builder's.
 Orbits come from ``expansion``, so no ``Fraction`` is built.
-``check_line`` takes the binomials of (a) from ``binom``;
-``check_certificate`` takes C(2r, k) from one row per call, built by the
-exact recurrence C(n, s+1) = C(n, s)(n - s)/(s + 1), so no table
-outlives a call. ``check_line`` and ``check_certificate`` make the same
-comparisons, in one line predicate, ``_line_reason``.
 
-``check_certificate`` has two paths, and the input picks one. A
-certificate whose lines are the orbits in order (levels 1..r, and in
-each level the splits 1..e_i/2), as the builder emits it, is checked in
-one pass over its columns: it is valid when it has exactly r(r+1)/2
-lines, those lines are the orbits in that order, each level's targets
-rise strictly within 1..r, and every line passes ``_line_reason``, with
-C(e_i, s) stepped along the level by the recurrence. These conditions
-imply every test of the general path: all indices are in range, the
-lines are the r(r+1)/2 orbits once each, so none repeats and none is
-missing, a level's strictly rising targets spend no slot (k, i) twice,
-and every line is admissible. (Rising targets also give k >= s, so
-C(2r, k) >= C(2r, s) >= C(e_i, s) and (a) cannot fail on this path; the
-pass asks ``_line_reason`` all the same.) Every other certificate, and
-one that fails a condition of the pass, takes the general path
-unchanged: sets of its orbits and slots, and its lines level by level
-with one row of C(e_i, s) per level, so a violation is named and listed
-in one order whatever the path. A report walks by target instead, in
-one place, ``_group_texts``, and keeps one coefficient per level,
-stepping it by the same recurrence.
+At most one of (a) and (b) can fail on a line, and k against s says
+which. Since e_i <= 2r and s <= e_i/2 <= r, for k >= s (a) holds:
+C(e_i, s) <= C(2r, s) <= C(2r, k), because binomials grow in n, and in
+the lower index up to n/2 = r. For k < s (b) holds: e_i k <= 2r k < 2r s.
+So ``_line_reason``, the one line predicate that ``check_line`` and
+``check_certificate`` share, reads the coefficients only when k < s, and
+only then does a caller form them: ``check_line`` from ``binom``,
+``check_certificate`` from rows built by the exact recurrence
+C(n, s+1) = C(n, s)(n - s)/(s + 1), so no table outlives a call.
+
+``check_certificate`` walks the columns once, in input order, whatever
+the order of the lines. Each level gets a flag per split and one per
+slot k when its first line arrives, which name repeated orbits and
+spent slots in input order; a line with k >= s is decided on the spot,
+and a line with k < s after the walk, level by level, from one row of
+C(e_i, s) at a time and the row of C(2r, k). The builder targets no
+line below its split, so its certificates are checked with no binomial
+at all. Orbits are listed as missing only when the lines, less their
+repeats, are fewer than the r(r+1)/2 orbits. A report walks by target
+instead, in one place, ``_group_texts``, and keeps one coefficient per
+level, stepping it by the same recurrence.
 
 Storage. A ``Certificate`` is the checker's own form: three int columns,
 ``levels``, ``splits`` and ``targets``. The builder and
@@ -77,11 +74,8 @@ Storage. A ``Certificate`` is the checker's own form: three int columns,
 from ``CertificateLine``s reads them off once. The checker, the report
 and ``certificate_to_json`` read the columns alone, whichever way the
 certificate was built, so a valid certificate costs no object per line.
-Checking a certificate in order builds no set, no tuple kept past its
-line and no row but that of C(2r, k), so it adds no memory that grows
-with the number of lines; the general path holds a set of orbits and
-one of slots, a tuple per line each, which took the peak of a check
-at r = 2000 from 207 to 564 MB.
+A check keeps about 1.5 r^2 bytes of flags and a pair (s, k) per line
+with k < s, whatever the order of the lines.
 ``Certificate.lines`` builds the ``CertificateLine`` tuple on first read
 and keeps it; a ``Violation`` carries a ``CertificateLine`` built for
 the one line it names. Reports read the columns too:
@@ -253,20 +247,24 @@ class CheckReport(FrozenValue):
 
 
 def _by_level(cert: Certificate):
-    """The lines as (i, s, k), level by level: in place when the levels
-    already ascend, otherwise sorted."""
+    """The lines as (i, s, k), level by level, for the report's grouping:
+    in place when the levels already ascend, otherwise sorted."""
     triples = zip(cert.levels, cert.splits, cert.targets)
     return triples if list(cert.levels) == sorted(cert.levels) else sorted(triples)
 
 
-def _line_reason(r: int, e: int, s: int, k: int, c_orbit: int, c_slot: int) -> str | None:
+def _line_reason(
+    r: int, e: int, s: int, k: int, c_orbit: int | None, c_slot: int | None
+) -> str | None:
     """The one line formula: the tests of an in-range line (i, s, k), with
-    e = e_i, c_orbit = C(e, s) and c_slot = C(2r, k)."""
+    e = e_i, c_orbit = C(e, s) and c_slot = C(2r, k). For k >= s only (b)
+    can fail and for k < s only (a) (see the module docstring), so the
+    coefficients are read only when k < s; otherwise they may be None."""
     if k == r and s != e // 2:
         # a symmetric pair cannot be charged to the single middle monomial
         return REASON_MIDDLE_MISMATCH
-    if c_orbit > c_slot:
-        return REASON_COEFFICIENT
+    if k < s:
+        return REASON_COEFFICIENT if c_orbit > c_slot else None
     if e * k > 2 * r * s:
         # the shadow's leading exponent e (2r - k)/2r is below e - s
         return REASON_MAJORIZATION
@@ -276,38 +274,19 @@ def _line_reason(r: int, e: int, s: int, k: int, c_orbit: int, c_slot: int) -> s
 def check_line(sig: GradingSignature, line: CertificateLine) -> str | None:
     """None when the line is admissible, otherwise the violation reason.
 
-    Integers only: big-integer coefficient comparison, and majorization
-    as e_i k <= 2r s (see the module docstring).
-    Out-of-range indices are a domain error.
+    Integers only: a big-integer coefficient comparison, formed only
+    when k < s, and majorization as e_i k <= 2r s (see the module
+    docstring). Out-of-range indices are a domain error.
     """
     e = sig.exponent(line.level)  # raises on an out-of-range level
-    s, k = line.split, line.target
+    r, s, k = sig.r, line.split, line.target
     if not 1 <= s <= e // 2:
         raise ValueError(f"split {s} out of range for level {line.level} (e={e})")
-    if not 1 <= k <= sig.r:
-        raise ValueError(f"target {k} out of range for r={sig.r}")
-    return _line_reason(sig.r, e, s, k, binom(e, s), binom(2 * sig.r, k))
-
-
-def _valid_in_order(r: int, exponents, cert: Certificate, c_slots: list[int]) -> bool:
-    """For a certificate of r(r+1)/2 lines: True when line j is the j-th
-    orbit of ``orbit_triples``, the targets of each level rise strictly
-    within 1..r, and every line passes ``_line_reason``, with C(e_i, s)
-    stepped by the recurrence. False otherwise, naming no violation."""
-    levels, splits, targets = cert.levels, cert.splits, cert.targets
-    j = 0
-    for i, e in enumerate(exponents, 1):
-        c, last_k = 1, 0
-        for s in range(1, e // 2 + 1):
-            k = targets[j]
-            if levels[j] != i or splits[j] != s or not last_k < k <= r:
-                return False
-            c = c * (e + 1 - s) // s
-            if _line_reason(r, e, s, k, c, c_slots[k]) is not None:
-                return False
-            last_k = k
-            j += 1
-    return True
+    if not 1 <= k <= r:
+        raise ValueError(f"target {k} out of range for r={r}")
+    if k < s:
+        return _line_reason(r, e, s, k, binom(e, s), binom(2 * r, k))
+    return _line_reason(r, e, s, k, None, None)
 
 
 def check_certificate(sig: GradingSignature, cert: Certificate) -> CheckReport:
@@ -319,69 +298,62 @@ def check_certificate(sig: GradingSignature, cert: Certificate) -> CheckReport:
     does a certificate for another length. Violations are listed as
     duplicates, missing orbits, slot conflicts, then per line in order.
 
-    A certificate whose lines are the orbits in order, as
-    ``search_certificate`` builds it and ``prove --out`` writes it, is
-    checked in one pass over its columns (``_valid_in_order``) that
-    builds no set and no row but that of C(2r, k). Any other
-    certificate, and one that fails that pass, is checked by sets of its
-    orbits and slots and a row of C(e_i, s) per level, which name every
-    violation. Both paths give the same report (see the module
-    docstring).
+    One walk over the columns, in input order, flags each level's splits
+    and slots as its lines arrive, and decides each line with k >= s on
+    the spot. Lines with k < s are decided after the walk, level by
+    level, from one row of C(e_i, s) at a time and the row of C(2r, k);
+    the builder's certificates have none, so checking them forms no
+    binomial.
     """
     r, exponents = sig.r, sig.exponents
     if cert.r != r:
         raise ValueError(f"certificate is for r={cert.r}, signature has r={r}")
     levels, splits, targets = cert.levels, cert.splits, cert.targets
-    # only a certificate with one line per orbit can pass in order; any
-    # other takes the general path, which builds the slot row after its
-    # range test
-    c_slots = None
-    if len(levels) == r * (r + 1) // 2:
-        c_slots = _binom_row(2 * r, r)
-        if _valid_in_order(r, exponents, cert, c_slots):
-            return CheckReport(valid=True, violations=())
-
-    # the first line with an index out of range; s <= e_i // 2 is s <= r + 1 - i
+    # each level's flags, made when its first line arrives: one per split
+    # s = 1..e_i/2 and one per slot k = 1..r
+    split_flags, slot_flags = [None] * (r + 1), [None] * (r + 1)
+    duplicates, conflicts, failed, deferred = [], [], {}, {}
+    level = top = 0  # the level of the last line and its largest split, e_i/2 = r + 1 - i
     for i, s, k in zip(levels, splits, targets):
-        if not (1 <= i <= r and 1 <= s <= r + 1 - i and 1 <= k <= r):
+        if i != level and 1 <= i <= r:
+            level, e, top = i, exponents[i - 1], r + 1 - i
+            if split_flags[i] is None:
+                split_flags[i], slot_flags[i] = bytearray(top + 1), bytearray(r + 1)
+            seen, spent = split_flags[i], slot_flags[i]
+        if not (i == level and 1 <= s <= top and 1 <= k <= r):
             check_line(sig, CertificateLine(i, s, k))  # raises
+        if seen[s]:
+            detail = f"duplicate line for orbit (i={i}, s={s})"
+            duplicates.append(Violation(CertificateLine(i, s, k), REASON_INCOMPLETE, detail))
+        if spent[k]:
+            detail = f"slot (k={k}, i={i}) already spent"
+            conflicts.append(Violation(CertificateLine(i, s, k), REASON_SLOT_CONFLICT, detail))
+        seen[s] = spent[k] = 1
+        if k < s:
+            deferred.setdefault(i, []).append((s, k))
+        else:
+            reason = _line_reason(r, e, s, k, None, None)
+            if reason is not None:
+                failed[i, s, k] = reason
 
-    # sets as long as the lines mean that no orbit and no slot repeats
-    n = len(levels)
-    seen_orbits = set(zip(levels, splits))
-    duplicates, conflicts = [], []
-    if len(seen_orbits) < n or len(set(zip(targets, levels))) < n:
-        orbits, slots = set(), set()
-        for i, s, k in zip(levels, splits, targets):
-            if (i, s) in orbits:
-                detail = f"duplicate line for orbit (i={i}, s={s})"
-                line = CertificateLine(i, s, k)
-                duplicates.append(Violation(line, REASON_INCOMPLETE, detail))
-            if (k, i) in slots:
-                detail = f"slot (k={k}, i={i}) already spent"
-                line = CertificateLine(i, s, k)
-                conflicts.append(Violation(line, REASON_SLOT_CONFLICT, detail))
-            orbits.add((i, s))
-            slots.add((k, i))
     missing = []
-    if len(seen_orbits) < r * (r + 1) // 2:  # every line is in range here
+    if len(levels) - len(duplicates) < r * (r + 1) // 2:  # every line is in range here
         for i, _, s in orbit_triples(sig):
-            if (i, s) not in seen_orbits:
+            if split_flags[i] is None or not split_flags[i][s]:
                 detail = f"orbit (i={i}, s={s}) has no line"
                 missing.append(Violation(None, REASON_INCOMPLETE, detail))
 
-    # each line level by level, with one row of C(e_i, s) alive at a time
-    if c_slots is None:
+    # the lines with k < s, level by level, with one row of C(e_i, s)
+    # alive at a time
+    if deferred:
         c_slots = _binom_row(2 * r, r)
-    failed = {}
-    level = 0
-    for i, s, k in _by_level(cert):
-        if i != level:
-            level, e = i, exponents[i - 1]
+        for i in sorted(deferred):
+            e = exponents[i - 1]
             c_orbits = _binom_row(e, e // 2)
-        reason = _line_reason(r, e, s, k, c_orbits[s], c_slots[k])
-        if reason is not None:
-            failed[i, s, k] = reason
+            for s, k in deferred[i]:
+                reason = _line_reason(r, e, s, k, c_orbits[s], c_slots[k])
+                if reason is not None:
+                    failed[i, s, k] = reason
     per_line = []
     if failed:
         for key in zip(levels, splits, targets):

@@ -4,10 +4,12 @@ majorization predicate.
 
 The certificate checker and report use ``GradingSignature`` and the
 ``"p/q"`` wire format of ``ratio_to_str``, which takes an integer pair,
-so they build no ``Fraction``. ``check_line`` compares ``binom`` values;
+so they build no ``Fraction``. The checker forms binomials only for a
+line whose target k is below its split s, the one kind of line whose
+coefficient test can fail: ``check_line`` compares ``binom`` values, and
 the batch checker takes them from rows that ``_binom_row`` builds by an
-exact recurrence, as ``expansion.orbit_pieces`` does, or steps them
-along a level by the same recurrence, as the report's writer does.
+exact recurrence, as ``expansion.orbit_pieces`` does. The report's
+writer steps them along a level by the same recurrence.
 ``ExponentPair`` and ``majorizes`` are the definition of majorization on
 rational exponents; a certificate line's two pairs have equal degree, so
 the checker tests it as one integer comparison, and its tests compare

@@ -33,9 +33,9 @@ same orbits a level at a time. ``shadow`` takes the shadow from
 gcd. The checker's one-comparison majorization test needs neither (see
 ``certificate``). ``rhs_table`` is the one list of right-hand orbits.
 Coefficients are big integers; ``orbit_pieces`` reads them from one row
-of C(e_i, s) per level (``exactmath._binom_row``), as the checker's
-general path does. ``orbit_pieces`` and ``shadow_pieces`` are the only
-formatters of the two large tables: they write the text of
+of C(e_i, s) per level (``exactmath._binom_row``), as the checker does
+for its lines with k < s. ``orbit_pieces`` and ``shadow_pieces`` are the
+only formatters of the two large tables: they write the text of
 ``json.dumps`` of each a level, or a k, at a time, so that
 ``report --json`` writes them without building either table, and
 ``orbit_table`` and ``shadow_table`` are the rows that ``json.loads``

@@ -378,6 +378,20 @@ def test_checker_matches_per_line_reference_on_seeded_tamperings(r):
     lines[:6] = [CertificateLine(ln.level, ln.split, 1) for ln in lines[:6]]
     cert = Certificate(r, tuple(lines))
     assert check_certificate(sig, cert) == reference_check(sig, cert)
+    # level 1 in two runs around level 2: the second run repeats an orbit
+    # of the first and spends one of its slots again, and lines of both
+    # levels target k < s
+    one, two, *rest = _blocks((ln.level, ln.split, ln.target) for ln in base)
+    half = len(one) // 2
+    first, second = one[:half], one[half:]
+    (i, s, _), k_spent = second[0], first[0][2]
+    second = [(i, s, k_spent), *second[1:], first[1]]
+    second[-2] = (*second[-2][:2], 1)
+    two[-1] = (*two[-1][:2], 1)
+    cert = Certificate(r, tuple(CertificateLine(*t) for t in first + two + second + _join(rest)))
+    report = check_certificate(sig, cert)
+    assert report == reference_check(sig, cert)
+    assert {v.reason for v in report.violations} >= {"incomplete", "slot_conflict", "coefficient"}
 
 
 def tampered_certificates():
@@ -428,9 +442,11 @@ def test_tamper_draws_past_a_line_moved_out_of_range():
 
 
 # Tamperings that keep the lines in level order, each breaking one
-# condition of the checker's in-order pass (swapped blocks break only
-# its order and stay valid). A case returns the tampered (i, s, k)
-# triples, or None where the length has no line to tamper with.
+# condition of the builder's certificate: its splits, its lines, its
+# order, its rising targets, a line test or an index range (swapped
+# blocks break only the order and stay valid). A case returns the
+# tampered (i, s, k) triples, or None where the length has no line to
+# tamper with.
 
 def _blocks(triples):
     """The triples of each level, in order."""
@@ -585,37 +601,44 @@ def test_checker_matches_reference_on_tamperings_in_level_order(r):
     assert ran == Counter({False: invalid, True: valid, "raised": 2})
 
 
-def _no_fallback(monkeypatch):
-    def fallback(cert):
-        raise AssertionError("check_certificate took the fallback")
-
-    monkeypatch.setattr(certificate_mod, "_by_level", fallback)
+def _count_rows_and_binoms(monkeypatch):
+    """The n of every ``_binom_row`` and ``binom`` the certificate module calls."""
+    rows, binoms = [], []
+    real_row, real_binom = certificate_mod._binom_row, certificate_mod.binom
+    monkeypatch.setattr(certificate_mod, "_binom_row", lambda n, t: rows.append(n) or real_row(n, t))
+    monkeypatch.setattr(certificate_mod, "binom", lambda n, k: binoms.append(n) or real_binom(n, k))
+    return rows, binoms
 
 
 def test_builder_certificates_are_checked_in_one_in_order_pass(monkeypatch):
-    rows = []
-    real_row = certificate_mod._binom_row
-    monkeypatch.setattr(certificate_mod, "_binom_row", lambda n, t: rows.append(n) or real_row(n, t))
-    _no_fallback(monkeypatch)
+    # the builder's targets have k >= s, so no line reads a coefficient
+    rows, binoms = _count_rows_and_binoms(monkeypatch)
     for r in range(1, 61):
         sig = GradingSignature(r)
-        rows.clear()
         assert check_certificate(sig, search_certificate(sig)) == CheckReport(True, ())
-        assert rows == [2 * r]  # the row of C(2r, k), no row per level
-    rows.clear()
     assert check_certificate(GradingSignature(5), load_fixture(5)).valid
-    assert rows == [10]
+    assert rows == binoms == []
 
 
-def test_valid_certificate_with_two_lines_swapped_in_a_level_checks_valid(monkeypatch):
+def test_valid_certificate_with_two_lines_swapped_in_a_level_checks_valid():
     sig = GradingSignature(12)
     lines = list(search_certificate(sig).lines)
     lines[3], lines[7] = lines[7], lines[3]  # level 1 has splits 1..12
     cert = Certificate(12, tuple(lines))
     assert check_certificate(sig, cert) == CheckReport(True, ()) == reference_check(sig, cert)
-    _no_fallback(monkeypatch)
-    with pytest.raises(AssertionError, match="fallback"):
-        check_certificate(sig, cert)
+
+
+def test_only_one_line_test_can_fail_on_a_line():
+    # the lemma that lets a line read its coefficients only when k < s:
+    # for k >= s the coefficient test holds, for k < s majorization does
+    for r in range(1, 61):
+        two_r = 2 * r
+        c_slots = [math.comb(two_r, k) for k in range(r + 1)]
+        for e in range(2, two_r + 1, 2):
+            for s in range(1, e // 2 + 1):
+                c_orbit = math.comb(e, s)
+                assert all(c_orbit <= c_slots[k] for k in range(s, r + 1)), (r, e, s)
+                assert all(e * k <= two_r * s for k in range(1, s)), (r, e, s)
 
 
 def test_binomial_rows_equal_math_comb():
@@ -646,18 +669,27 @@ def test_check_certificate_makes_no_per_line_binom_call(monkeypatch):
 
 
 def test_shuffled_certificate_is_checked_and_reported_level_by_level(monkeypatch):
-    # one row of C(e_i, s) per level, and the groups list their lines by level
+    # no row for lines with k >= s; a row of C(e_i, s) per level with a
+    # line below its split, and the groups list their lines by level
     sig = GradingSignature(30)
     cert = search_certificate(sig)
     lines = list(cert.lines)
-    random.Random(30).shuffle(lines)
+    rng = random.Random(30)
+    rng.shuffle(lines)
     shuffled = Certificate(sig.r, lines)
-    rows = []
-    real_row = certificate_mod._binom_row
-    monkeypatch.setattr(certificate_mod, "_binom_row", lambda n, t: rows.append(n) or real_row(n, t))
+    rows, _ = _count_rows_and_binoms(monkeypatch)
     assert check_certificate(sig, shuffled).valid
-    assert len(rows) == sig.r + 1
+    assert rows == []
     assert certificate_to_report(sig, shuffled) == certificate_to_report(sig, cert)
+    picks = rng.sample([j for j, ln in enumerate(lines) if ln.split > 1], 12)
+    for j in picks:
+        ln = lines[j]
+        lines[j] = CertificateLine(ln.level, ln.split, rng.randint(1, ln.split - 1))
+    retargeted = Certificate(sig.r, lines)
+    rows.clear()
+    assert check_certificate(sig, retargeted) == reference_check(sig, retargeted)
+    below = sorted({lines[j].level for j in picks})
+    assert rows == [2 * sig.r] + [sig.exponent(i) for i in below]
 
 
 def test_check_certificate_r_mismatch():

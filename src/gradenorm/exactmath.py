@@ -38,7 +38,8 @@ Value classes. The nine immutable records of the exact core
 half the import time of ``gradenorm.cli`` for ``check``, ``prove``,
 ``report`` and ``--version``, which need neither. The float side
 (``graded_space``, ``numeric_search``) keeps ``@dataclass``, since numpy
-imports ``inspect`` anyway.
+imports ``inspect`` anyway, except for ``GradedVector``, a slotted class
+because its construction cost is measured per call.
 """
 
 from __future__ import annotations

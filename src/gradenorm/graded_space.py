@@ -21,20 +21,34 @@ per-level norms. The certificate module proves that scalar statement
 with exact arithmetic; this module is double-precision throughout and
 never enters the proof-checking path.
 
-A GradedVector copies its input once into one flat read-only float64
-array; ``components`` are per-level views into it and ``dims`` is
-stored. Vectors of equal ``dims`` share one tuple of level slices from a
-table of at most 64 layouts; the component count and the level
-dimensions are still checked for every vector. ``x + y``, ``-x`` and
-``dilate`` are one numpy operation on the flat array each, and their
+A GradedVector is a plain frozen class with ``__slots__``, with the
+constructor, repr, identity equality, pickling and
+``FrozenInstanceError`` on assignment of the frozen slots dataclass it
+replaced, at less cost per call. It copies its input once into one
+flat read-only float64 array that it owns, and stores ``dims``. Levels
+of one shape are converted by one ``np.array`` call and the result is
+flattened in place (``_one_call``); ragged levels, or an entry that does
+not convert, go a level at a time, which raises the error of the first
+bad level. ``components`` are per-level read-only views into the flat
+array, made on first read and kept, so a vector that is only measured
+never makes them. Vectors of equal ``dims`` share one tuple of level
+slices from a table of at most 64 layouts; the component count and the
+level dimensions are still checked for every vector. ``x + y``, ``-x``
+and ``dilate`` are one numpy operation on the flat array each, and their
 results skip the input validation, since they keep the layout of a
 vector that already passed it; ``random_vector`` draws into one flat
-array and skips it too. ``triangle_defect`` and ``homogeneity_defect``
-build no vector. They form the sum or the dilated entries on the Python
-floats of ``tolist()``, the same IEEE add and multiply that numpy
-applies, so they keep the bits of ``hnorm(x + y)`` and
-``hnorm(dilate(t, x))``; an entry that overflows reaches ``_norm`` as
-inf and raises ValueError there, without a numpy warning.
+array and skips it too.
+
+``hnorm`` keeps each vector's norm in a slot once it has computed it; a
+norm that raises is not kept, so it raises again on every call.
+``triangle_defect`` and ``homogeneity_defect`` build no vector. They
+take the kept norms of x and y, or compute and keep them from the
+entries they read anyway (``_kept_norm``), and subtract them in the
+order and with the bits of ``hnorm(x + y) - hnorm(x) - hnorm(y)`` and
+``hnorm(dilate(t, x)) - abs(t) * hnorm(x)``. The sum and the dilated
+entries are formed on the Python floats of ``tolist()``, the same IEEE
+add and multiply that numpy applies; an entry that overflows reaches
+``_norm`` as inf and raises ValueError there, without a numpy warning.
 
 The norm formula has its two evaluators here. ``_norm``, behind
 ``hnorm`` and ``scalar_norm``, runs on Python floats: ``math.hypot``
@@ -73,14 +87,15 @@ the last place at every r = 2..12, 24, 47 and 60, and none at r = 1.
 So neither can stand in for the other without re-pinning the hunts
 and digests recorded with it.
 
-All operations are pure functions over immutable values.
+All operations are pure functions over immutable values; the kept
+level views and norm are computed from a vector's own fixed entries.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import hypot
@@ -109,32 +124,61 @@ __all__ = [
 ]
 
 _INF = math.inf
+_FLOAT = np.dtype(float)
 _TINY = sys.float_info.min  # the smallest normal double
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class GradedVector:
-    """One real Euclidean component per level, held in one flat array."""
+    """One real Euclidean component per level, held in one flat array.
 
-    signature: GradingSignature
-    components: tuple[np.ndarray, ...]
-    dims: tuple[int, ...] = field(init=False, repr=False)
-    _flat: np.ndarray = field(init=False, repr=False)
-    _levels: tuple[slice, ...] = field(init=False, repr=False)
+    ``GradedVector(signature, components)`` copies the levels once into
+    the read-only float64 array ``_flat``; ``components`` are read-only
+    views into it, made on first read and kept. ``hnorm`` keeps the norm
+    it computes. Equality is identity, and any assignment or deletion
+    raises ``FrozenInstanceError``.
+    """
 
-    def __post_init__(self) -> None:
-        parts = [np.asarray(c, dtype=float).ravel() for c in self.components]
-        dims = tuple([p.size for p in parts])
-        levels = _layout(self.signature.r, dims)
-        self._store(np.concatenate(parts), dims, levels)
+    __slots__ = ("signature", "dims", "_flat", "_levels", "_components", "_hnorm")
+    __match_args__ = ("signature", "components")
 
-    def _store(self, flat: np.ndarray, dims: tuple[int, ...], levels: tuple[slice, ...]) -> None:
+    def __init__(self, signature: GradingSignature, components: Sequence[Any]) -> None:
+        self.__post_init__(signature, components)
+
+    def __post_init__(self, signature: GradingSignature, components: Sequence[Any]) -> None:
+        # the checked construction entry; bench/tracing.py counts the
+        # vectors built by rebinding it, and _wrap skips it
+        if type(components) is not tuple:
+            components = tuple(components)
+        r = signature.r
+        flat = _one_call(components)
+        if flat is None:
+            # ragged levels, or an entry that does not convert: a level
+            # at a time, which raises the error of the first bad level
+            parts = [np.asarray(c, dtype=float).ravel() for c in components]
+            dims = tuple([p.size for p in parts])
+            levels = _layout(r, dims)
+            flat = np.concatenate(parts)
+        else:
+            size = flat.size
+            if len(components) != r or not size:
+                # a wrong count or empty levels, which _layout names and raises
+                _layout(r, (math.prod(flat.shape[1:]),) * len(components))
+            dims = (size // r,) * r
+            levels = _level_slices(dims)
+            # in place: a reshaped view would make the components views
+            # of a view, and this vector would not own its storage
+            flat.shape = size
+        self._store(signature, flat, dims, levels)
+
+    def _store(
+        self, signature: GradingSignature, flat: np.ndarray, dims: tuple[int, ...], levels: tuple[slice, ...]
+    ) -> None:
         flat.setflags(write=False)
-        put = object.__setattr__
-        put(self, "_flat", flat)
-        put(self, "dims", dims)
-        put(self, "_levels", levels)
-        put(self, "components", tuple([flat[s] for s in levels]))
+        _set_signature(self, signature)
+        _set_flat(self, flat)
+        _set_dims(self, dims)
+        _set_levels(self, levels)
+        _set_hnorm(self, None)
 
     @staticmethod
     def _wrap(
@@ -143,13 +187,32 @@ class GradedVector:
         """A vector holding the fresh array ``flat`` in a layout that
         ``_layout`` already checked, so ``__post_init__`` is skipped."""
         out = object.__new__(GradedVector)
-        object.__setattr__(out, "signature", signature)
-        out._store(flat, dims, levels)
+        out._store(signature, flat, dims, levels)
         return out
 
     def _derive(self, flat: np.ndarray) -> "GradedVector":
         """A vector over this one's space holding the fresh array ``flat``."""
         return GradedVector._wrap(self.signature, flat, self.dims, self._levels)
+
+    @property
+    def components(self) -> tuple[np.ndarray, ...]:
+        """The per-level read-only views into ``_flat``."""
+        try:
+            return self._components
+        except AttributeError:
+            flat = self._flat
+            views = tuple([flat[s] for s in self._levels])
+            _set_components(self, views)
+            return views
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(signature={self.signature!r}, components={self.components!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
         # rebuild through __init__, so that a copy's components are again
@@ -174,6 +237,12 @@ class GradedVector:
         return self._derive(-self._flat)
 
 
+# the slots' own setters: __setattr__ refuses every write
+_set_signature, _set_dims, _set_flat, _set_levels, _set_components, _set_hnorm = (
+    GradedVector.__dict__[name].__set__ for name in GradedVector.__slots__
+)
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarProfile:
     """Per-level nonnegative magnitudes, the shadow of a graded vector."""
@@ -194,6 +263,23 @@ class ScalarProfile:
         if self.signature != other.signature:
             raise ValueError("profiles live over different gradings")
         return ScalarProfile(self.signature, self.magnitudes + other.magnitudes)
+
+
+def _one_call(components: tuple) -> np.ndarray | None:
+    """The levels as one new float64 array of shape (count, *level shape),
+    or None where they differ in shape or an entry fails to convert.
+
+    Float64 entries convert in about half the time without numpy's dtype
+    argument; any other array is converted again with it. An error of
+    either call is left to the per-level path, which raises the error of
+    the first bad level."""
+    try:
+        flat = np.array(components)
+        if flat.dtype is not _FLOAT:
+            flat = np.array(components, dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    return flat
 
 
 def _require_same_space(x: GradedVector, y: GradedVector) -> None:
@@ -432,8 +518,20 @@ def scalar_profile(x: GradedVector) -> ScalarProfile:
 
 
 def hnorm(x: GradedVector) -> float:
-    """The candidate homogeneous norm; equals scalar_norm(scalar_profile(x))."""
-    return _norm(_lengths(tuple(x._flat.tolist()), x._levels), x.signature.exponents)
+    """The candidate homogeneous norm; equals scalar_norm(scalar_profile(x)).
+    Computed once per vector and kept; a norm that raises is not kept."""
+    norm = x._hnorm
+    return _kept_norm(x, x._flat.tolist()) if norm is None else norm
+
+
+def _kept_norm(x: GradedVector, values: list[float]) -> float:
+    """hnorm(x), computed from ``values``, the entries of ``x._flat``,
+    and kept only if ``x`` has none yet; a norm that raises is not kept."""
+    norm = x._hnorm
+    if norm is None:
+        norm = _norm(_lengths(tuple(values), x._levels), x.signature.exponents)
+        _set_hnorm(x, norm)
+    return norm
 
 
 def _dilation_powers(t: float, r: int) -> list[float]:
@@ -466,10 +564,10 @@ def homogeneity_defect(x: GradedVector, t: float) -> float:
     witnesses exist for every r >= 3.
     """
     powers = _dilation_powers(t, x.signature.r)
-    values, levels, exponents = tuple(x._flat.tolist()), x._levels, x.signature.exponents
+    values = tuple(x._flat.tolist())
     # dilate's products, on Python floats
-    dilated = [hypot(*[v * p for v in values[s]]) for s, p in zip(levels, powers)]
-    return _norm(dilated, exponents) - abs(t) * _norm(_lengths(values, levels), exponents)
+    dilated = [hypot(*[v * p for v in values[s]]) for s, p in zip(x._levels, powers)]
+    return _norm(dilated, x.signature.exponents) - abs(t) * _kept_norm(x, values)
 
 
 def triangle_defect(x: GradedVector, y: GradedVector) -> float:
@@ -477,10 +575,8 @@ def triangle_defect(x: GradedVector, y: GradedVector) -> float:
     paper, and for every r by the per-length certificates."""
     _require_same_space(x, y)
     xs, ys = x._flat.tolist(), y._flat.tolist()
-    levels, exponents = x._levels, x.signature.exponents
-    total = _norm(_lengths(tuple(map(add, xs, ys)), levels), exponents)  # x + y on Python floats
-    nx = _norm(_lengths(tuple(xs), levels), exponents)
-    return total - nx - _norm(_lengths(tuple(ys), levels), exponents)
+    lengths = _lengths(tuple(map(add, xs, ys)), x._levels)  # x + y on Python floats
+    return _norm(lengths, x.signature.exponents) - _kept_norm(x, xs) - _kept_norm(y, ys)
 
 
 def random_vector(

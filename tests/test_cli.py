@@ -671,3 +671,25 @@ def test_console_module_entry_point():
     )
     assert result.returncode == 0
     assert "[k=2]" in result.stdout
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize("caller", [None, "2"])
+def test_the_cli_holds_openblas_to_one_thread_unless_the_caller_sets_it(caller):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(FIXTURES.parents[1] / "src")
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    child = (
+        "import os, gradenorm.cli, numpy; "
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    setting, threads = result.stdout.split()
+    if caller is None:
+        assert (setting, threads) == ("1", "1")
+    else:
+        assert setting == caller

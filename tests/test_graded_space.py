@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import math
 import pickle
@@ -475,6 +476,145 @@ def test_defects_build_no_vector(monkeypatch):
     assert (triangle_defect(x, y), homogeneity_defect(x, -0.5)) == expected
     with pytest.raises(AssertionError, match="a vector was built"):
         x + y
+
+
+# id -> (r, a function making the components, whether the levels share one shape)
+CONSTRUCTION_CASES = {
+    "equal-1d": (3, lambda: ([1.0, 2.0], [3.0, -4.0], np.array([5.0, 6.0])), True),
+    "equal-2d": (2, lambda: (np.arange(6.0).reshape(2, 3), [[1, 2, 3], [4, 5, 6]]), True),
+    "equal-0d": (3, lambda: (1.5, np.float64(-2.0), np.array(3.0)), True),
+    "int": (2, lambda: ([1, 2], [3, 2**60 + 1]), True),
+    "float32": (2, lambda: (np.array([0.1, -0.2], np.float32), np.array([0.3, 0.4], np.float32)), True),
+    "string": (2, lambda: (["1.5", "-2"], ["1e-3", "4"]), True),
+    "generator": (3, lambda: (np.full(2, i + 0.5) for i in range(3)), True),
+    "ragged": (3, lambda: ([1.0, 2.0], [3.0], [[4.0], [5.0]]), False),
+    "ragged-0d": (2, lambda: (1.0, [2.0, 3.0]), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTION_CASES))
+def test_one_call_and_per_level_construction_agree(monkeypatch, case):
+    r, make, one_shape = CONSTRUCTION_CASES[case]
+    assert (graded_space._one_call(tuple(make())) is not None) == one_shape
+    expected = np.concatenate([np.asarray(c, dtype=float).ravel() for c in make()])
+    one_call = GradedVector(GradingSignature(r), make())
+    with monkeypatch.context() as patched:
+        patched.setattr(graded_space, "_one_call", lambda components: None)  # the per-level path
+        per_level = GradedVector(GradingSignature(r), make())
+    for x in (one_call, per_level):
+        assert x._flat.dtype == np.float64 and x._flat.flags.owndata
+        assert x._flat.tobytes() == expected.tobytes()
+        assert_read_only_views_of_one_flat_array(x)
+        assert x._levels is graded_space._level_slices(x.dims)
+    assert one_call.dims == per_level.dims and one_call._levels is per_level._levels
+
+
+@pytest.mark.parametrize(
+    "r, make, error, message",
+    [
+        (2, lambda: ([1.0], []), ValueError, "level 2 must have dimension >= 1"),
+        (2, lambda: ([], []), ValueError, "level 1 must have dimension >= 1"),
+        (3, lambda: ([1.0], [2.0]), ValueError, "expected 3 components, got 2"),
+        (3, lambda: (np.ones(2) for _ in range(4)), ValueError, "expected 3 components, got 4"),
+        (2, lambda: ([1.0, 2.0], ["x", "abc"]), ValueError, "could not convert string to float: 'x'"),
+        (2, lambda: ([1.0], [{}]), TypeError, r"float\(\) argument must be"),
+        (1, lambda: ([10**400],), OverflowError, "int too large to convert to float"),
+        (2, lambda: 5.0, TypeError, "'float' object is not iterable"),
+    ],
+)
+def test_both_construction_paths_raise_the_same_errors(monkeypatch, r, make, error, message):
+    with pytest.raises(error, match=message):
+        GradedVector(GradingSignature(r), make())
+    with monkeypatch.context() as patched, pytest.raises(error, match=message):
+        patched.setattr(graded_space, "_one_call", lambda components: None)
+        GradedVector(GradingSignature(r), make())
+
+
+def test_vector_is_a_frozen_slotted_value():
+    x = GradedVector(GradingSignature(2), ([1.0, 2.0], [3.0]))
+    assert repr(x) == "GradedVector(signature=GradingSignature(r=2), components=(array([1., 2.]), array([3.])))"
+    assert x == x and x != GradedVector(GradingSignature(2), ([1.0, 2.0], [3.0]))
+    assert not hasattr(x, "__dict__")
+    for name in ("signature", "components", "dims", "_flat", "_hnorm", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(x, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(x, name)
+    match x:
+        case GradedVector(signature, components):
+            assert signature.r == 2 and components is x.components
+
+
+def test_derived_vectors_make_their_level_views_on_first_read():
+    x = GradedVector(GradingSignature(3), ([1.0], [2.0, 3.0], [4.0]))
+    for derived in (x + x, -x, dilate(2.0, x), random_vector(GradingSignature(3), np.random.default_rng(3))):
+        with pytest.raises(AttributeError):
+            derived._components
+        assert derived.components is derived.components
+        assert_read_only_views_of_one_flat_array(derived)
+
+
+def count_norms(monkeypatch):
+    calls = []
+    norm = graded_space._norm
+
+    def counted(mags, exponents):
+        calls.append(len(mags))
+        return norm(mags, exponents)
+
+    monkeypatch.setattr(graded_space, "_norm", counted)
+    return calls
+
+
+def test_a_vector_keeps_its_norm_once_computed(monkeypatch):
+    rng = np.random.default_rng(24)
+    sig = GradingSignature(5)
+    x, y = random_vector(sig, rng), random_vector(sig, rng)
+    calls = count_norms(monkeypatch)
+    first = hnorm(x)
+    assert hnorm(x) == first and len(calls) == 1
+    triangle_defect(x, y)
+    assert len(calls) == 3  # x + y and y; x's norm is kept
+    triangle_defect(x, y)
+    assert len(calls) == 4  # x + y alone
+    homogeneity_defect(x, 2.0)
+    assert len(calls) == 5  # the dilated norm alone
+    z = x + y
+    assert z._hnorm is None and hnorm(z) == hnorm(GradedVector(sig, z.components)) and len(calls) == 7
+
+
+def test_a_norm_that_raises_is_not_kept(monkeypatch):
+    x = GradedVector.from_components([[1.5e308, 1.5e308], [1.0]])
+    calls = count_norms(monkeypatch)
+    for attempt in range(1, 4):
+        with pytest.raises(ValueError, match="a level length exceeds the double range"):
+            hnorm(x)
+        assert x._hnorm is None and len(calls) == attempt
+    with pytest.raises(ValueError, match="a level length exceeds the double range"):
+        triangle_defect(x, GradedVector.zero(x.signature, x.dims))
+
+
+def uncached_norm(x):
+    return scalar_norm(scalar_profile(x))
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_cached_defects_keep_the_bits_of_the_uncached_formula(r):
+    rng = np.random.default_rng(2400 + r)
+    sig = GradingSignature(r)
+    for k in range(40):
+        dims = (3,) * r if k % 2 else tuple(rng.integers(1, 5, size=r).tolist())
+        decades = (-3.0, 3.0) if k % 4 < 2 else (-60.0, 60.0)
+        x = random_vector(sig, rng, dims=dims, magnitude_decades=decades)
+        y = random_vector(sig, rng, dims=dims, magnitude_decades=decades)
+        t = (-1.0) ** k * 10.0 ** rng.uniform(-1.0, 1.0)
+        triangle = hnorm(x + y) - uncached_norm(x) - uncached_norm(y)
+        homogeneity = hnorm(dilate(t, x)) - abs(t) * uncached_norm(x)
+        if k % 3 == 0:
+            hnorm(x), hnorm(y)  # defects of vectors whose norms are kept
+        assert triangle_defect(x, y).hex() == triangle.hex()
+        assert homogeneity_defect(x, t).hex() == homogeneity.hex()
+        assert triangle_defect(x, y).hex() == triangle.hex()
 
 
 def test_vector_copies_its_input():

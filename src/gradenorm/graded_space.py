@@ -473,8 +473,8 @@ def _batch_norms(
     Once the top level's overflow limit 2^ceil(1024/2r) is at most 2^10
     (r >= 52), rows that must overflow skip the power pass
     (``_sums_short_of_overflow``). The check costs about a pass, and the
-    hunt's magnitudes stay below 2e3 < 2^11, so below that no row of a
-    hunt would skip it.
+    hunt draws its magnitudes up to exp(3 ln 10) = 1e3 + 7e-13, so their
+    sums stay below 2^11, and below that no row of a hunt would skip it.
     """
     r = exponents.shape[0]
     if r == 1:

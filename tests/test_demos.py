@@ -39,12 +39,13 @@ def test_orbits_and_shadows_demo_output_is_pinned():
     assert digest == "f0da42e2d2797b2f0e9cef861861f6217fb78019fe0e9d1286d1d5fb6461df55"
 
 
-# the demo's hunts keep the bits of one float64 power loop, as the hunt
-# pins in test_numeric_search do; the baseline digest was recorded with
+# the demo's hunts keep the bits of one pair of float64 power and exp
+# loops, as the hunt pins in test_numeric_search do; both digests were
+# recorded with the exp magnitude sampler, the baseline one with
 # NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
 DEMO_05_SHA256 = {
-    "X86_V4": "24c8555df242118b3e8574db721841ce6b2f9122062b0cdca488effec469caef",
-    "baseline(X86_V2)": "2f205e2f248a3f07a6acd7d1f840fa74842f1d3f5358744d850c79d582951a41",
+    "X86_V4": "5091a14cd3de0c761d2e65b0622e0c6796e7b4a5d6d65d0e70b83acc32633f89",
+    "baseline(X86_V2)": "3d59d7649ff4bbf0ad054ebcb7f5c3dd5ec02837d9b2d23d3e599a8303267b12",
 }
 
 

@@ -4,11 +4,16 @@ The lattice's zero bases are raised as 1.0 and their powers set back to
 0; ``_rescaled_norms`` takes its integer split by integer division, reads
 2^(rem/2r) from a table and leaves out the terms whose 2r-th power
 underflows; ``_batch_norms`` sends rows that must overflow to it without
-a power pass. Each shortcut must keep the bits of the plain formula. The
-last test runs these tests, a short pinned hunt and demo 05 once more
-under numpy's baseline float64 power loop, in a subprocess.
+a power pass. Each shortcut must keep the bits of the plain formula.
+The hunt's magnitudes are drawn with numpy's float64 exp, so the pins
+also hold its exp loop: three tests check that it pairs with the power
+loop the pins are picked by, and that it keeps its magnitudes in the
+range the kernel assumes. The last test runs these tests, a short pinned
+hunt and demo 05 once more under numpy's baseline float64 power loop, in
+a subprocess.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradenorm import graded_space
+from gradenorm import graded_space, numeric_search
 from gradenorm.graded_space import POWER_LOOP, GradingSignature, _batch_norms, _rescaled_norms
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,7 +68,8 @@ def lattice_block(r, resolution, seed):
     rows = 48 if r >= 200 else 256
     levels = rng.integers(0, resolution, size=(rows, 2 * r))
     values = np.linspace(0.0, 1.0, resolution)
-    pts = values[levels] * 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, 2 * r))
+    lo, hi = numeric_search.LOG_MAGNITUDE_RANGE
+    pts = values[levels] * np.exp(rng.uniform(lo, hi, size=(rows, 2 * r)))
     return pts, (levels == 0).astype(float)
 
 
@@ -141,9 +147,75 @@ def test_rows_sent_past_the_power_pass_keep_their_bits(r):
     assert np.isfinite(got).all()
 
 
+def float64_loop(func):
+    """The target numpy dispatches its float64 ``func`` loop to."""
+    from numpy.lib.introspect import opt_func_info
+
+    loops = opt_func_info(func_name=f"^{func}$", signature="float64").get(func, {})
+    return next(iter(loops.values()), {}).get("current", "not dispatched")
+
+
+X86_64_LOOPS = ("X86_V4", "baseline(X86_V2)")
+# what selects the baseline float64 power loop on an AVX-512 machine
+BASELINE_FEATURES = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def test_exp_and_power_loops_pair_up():
+    # the hunt pins hold the bits of the magnitude sampler's exp and the
+    # kernel's power, and are picked by the power loop alone
+    if POWER_LOOP not in X86_64_LOOPS:
+        pytest.skip(f"not an x86-64 power loop: {POWER_LOOP!r}")
+    assert (float64_loop("exp") == "X86_V4") == (POWER_LOOP == "X86_V4")
+
+
+def test_magnitudes_stay_below_the_kernels_skip_limit():
+    # ``_batch_norms`` skips the power pass only from r = 52 on, where the
+    # overflow limit falls to 2^10; the sum of two drawn magnitudes must
+    # stay below the 2^11 it has up to there
+    lo, hi = numeric_search.LOG_MAGNITUDE_RANGE
+    assert (lo, hi) == tuple(b * math.log(10) for b in numeric_search.LOG10_MAGNITUDE_RANGE)
+    assert 2 * np.exp(hi) < 2**11
+    assert 1e-3 * (1 - 1e-15) < np.exp(lo) < np.exp(hi) < 1e3 * (1 + 1e-15)
+
+
+# seeded sampler draws of three shapes, hashed in a child process
+DRAW_DIGEST = """
+import hashlib
+import numpy as np
+from gradenorm import numeric_search
+from numpy.lib.introspect import opt_func_info
+digest = hashlib.sha256()
+for seed, rows, width in ((1, 4097, 12), (2, 200_000, 5), (3, 30_000, 24)):
+    blocks = numeric_search._log_uniform_blocks(np.random.default_rng(seed), rows, width)
+    for block in blocks:
+        digest.update(block.tobytes())
+loops = opt_func_info(func_name="^exp$", signature="float64")["exp"]
+print(next(iter(loops.values()))["current"], digest.hexdigest())
+"""
+
+
+def test_baseline_pins_hold_for_both_exp_loops_under_the_baseline_power_loop():
+    # numpy 2.4.6 has X86_V4, X86_V3 and baseline exp loops but only
+    # X86_V4 and baseline power loops: a runner with AVX2 and no AVX-512
+    # gets the X86_V3 exp, one without AVX2 the baseline exp, and both the
+    # baseline power loop, so both must draw the same magnitudes
+    if POWER_LOOP not in X86_64_LOOPS:
+        pytest.skip(f"not an x86-64 power loop: {POWER_LOOP!r}")
+    outputs = []
+    for features in (BASELINE_FEATURES, BASELINE_FEATURES + " X86_V3"):
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": features, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", DRAW_DIGEST], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    (loop, digest), (no_v3_loop, no_v3_digest) = outputs
+    assert loop in ("X86_V3", "baseline(X86_V2)") and no_v3_loop == "baseline(X86_V2)"
+    assert digest == no_v3_digest
+
+
 # The baseline loop's run: these tests, a short pinned hunt and demo 05.
 # The CI workflow runs the same selection in its own step.
-BASELINE_FEATURES = "X86_V4 AVX512_ICL AVX512_SPR"
 BASELINE_RUN = [
     "tests/test_kernel_bits.py",
     "tests/test_numeric_search.py::test_hunt_outcome_is_pinned[r5-n1000-seed0]",
@@ -152,7 +224,7 @@ BASELINE_RUN = [
 
 
 def test_pins_and_kernel_bits_hold_under_the_baseline_power_loop():
-    if POWER_LOOP not in ("X86_V4", "baseline(X86_V2)"):
+    if POWER_LOOP not in X86_64_LOOPS:
         pytest.skip(f"not an x86-64 power loop: {POWER_LOOP!r}")
     env = {
         **os.environ,

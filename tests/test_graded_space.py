@@ -1,9 +1,12 @@
+import array
 import copy
 import dataclasses
 import hashlib
 import math
 import pickle
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -543,6 +546,420 @@ def test_vector_is_a_frozen_slotted_value():
     match x:
         case GradedVector(signature, components):
             assert signature.r == 2 and components is x.components
+
+
+# ---------------------------------------------------------------------------
+# the construction contract
+# ---------------------------------------------------------------------------
+
+def levels(r, make):
+    return lambda: GradedVector(GradingSignature(r), make())
+
+
+def from_json(r, components):
+    return lambda: vector_from_json({"r": r, "components": components})
+
+
+# id -> a function building a vector, through the constructor or the wire format
+CONTRACT_CASES = {
+    "lists-1d": levels(3, lambda: ([1.0, 2.0], [3.0, -4.0], [5.0, 6.0])),
+    "lists-and-array": levels(3, lambda: ([1.0, 2.0], [3.0, -4.0], np.array([5.0, 6.0]))),
+    "tuples": levels(2, lambda: ((0.5, 0.25), (-0.125,))),
+    "arrays-2d": levels(2, lambda: (np.arange(6.0).reshape(2, 3), [[1, 2, 3], [4, 5, 6]])),
+    "fortran-2d": levels(2, lambda: (np.asfortranarray(np.arange(6.0).reshape(2, 3)), np.ones((2, 3)))),
+    "strided": levels(2, lambda: (np.arange(8.0)[::3], np.arange(8.0)[::-4])),
+    "levels-0d": levels(3, lambda: (1.5, np.float64(-2.0), np.array(3.0))),
+    "ragged": levels(3, lambda: ([1.0, 2.0], [3.0], [[4.0], [5.0]])),
+    "ragged-0d": levels(2, lambda: (1.0, [2.0, 3.0])),
+    "ragged-nested": levels(1, lambda: ([[1.0, 2.0], [3.0]],)),
+    "ints": levels(2, lambda: ([1, 2], [3, -4])),
+    "ints-and-floats": levels(2, lambda: ([1, 2.5], [3, 2**60 + 1])),
+    "ints-past-2^53": levels(1, lambda: ([2**53 + 1, 2**53 + 3, -(2**53) - 1],)),
+    "ints-near-2^63": levels(2, lambda: ([2**63 - 1, -(2**63)], [2**63 + 1, -(2**63) - 1])),
+    "ints-near-2^64": levels(2, lambda: ([2**64 - 1, 2**64], [2**64 + 1, 2**65 + 1])),
+    "int-10**400": levels(1, lambda: ([10**400],)),
+    "int-minus-10**400": levels(2, lambda: ([1.0], [2, -(10**400)])),
+    "float16": levels(2, lambda: (np.array([0.1, -0.2], np.float16), [1.0])),
+    "float32": levels(2, lambda: (np.array([0.1, -0.2], np.float32), np.array([0.3], np.float32))),
+    "longdouble": levels(1, lambda: (np.array([0.1, 1e300], np.longdouble),)),
+    "big-endian": levels(2, lambda: (np.array([1.5, -2.25], ">f8"), np.array([3.0], ">f4"))),
+    "int64-array": levels(2, lambda: (np.array([2**62 + 1, -3]), np.arange(2))),
+    "uint64-array": levels(1, lambda: (np.array([2**64 - 1, 2**53 + 1], np.uint64),)),
+    "bool-array": levels(1, lambda: (np.array([True, False]),)),
+    "object-array": levels(2, lambda: (np.array([1.5, 2, Fraction(1, 3)], dtype=object), [1.0])),
+    "datetime64": levels(1, lambda: (np.array(["2020-01-01"], dtype="datetime64[D]"),)),
+    "complex-array": levels(1, lambda: (np.array([1.0 + 0j, 2.0 + 0j]),)),
+    "complex": levels(1, lambda: ([1 + 2j],)),
+    "numpy-scalars": levels(2, lambda: ([np.float64(1.5), np.float32(0.1)], [np.int64(3)])),
+    "strings-that-parse": levels(2, lambda: (["1.5", "-2"], ["1e-3", " 4 "])),
+    "string-that-does-not": levels(2, lambda: ([1.0, 2.0], ["x", "abc"])),
+    "string-components": levels(2, lambda: "12"),
+    "bytes": levels(1, lambda: ([b"1.5"],)),
+    "bools": levels(2, lambda: ([True, False], [1.0])),
+    "none": levels(2, lambda: ([None], [1.0])),
+    "dict": levels(2, lambda: ([1.0], [{}])),
+    "set": levels(1, lambda: ({1.0},)),
+    "decimal": levels(1, lambda: ([Decimal("0.1"), Decimal("1e400")],)),
+    "fraction": levels(1, lambda: ([Fraction(1, 3), Fraction(-2, 7)],)),
+    "array-module": levels(1, lambda: (array.array("d", [1.5, -0.5]),)),
+    "generator-of-levels": levels(3, lambda: (np.full(2, i + 0.5) for i in range(3))),
+    "generator-level": levels(2, lambda: ([1.0], (v for v in [2.0, 3.0]))),
+    "bare-float": levels(2, lambda: 5.0),
+    "special-values": levels(2, lambda: ([float("nan"), float("inf")], [-float("inf"), -0.0, 5e-324])),
+    "too-few": levels(3, lambda: ([1.0], [2.0])),
+    "too-many": levels(3, lambda: (np.ones(2) for _ in range(4))),
+    "no-levels": levels(1, lambda: ()),
+    "empty-level": levels(2, lambda: ([1.0], [])),
+    "all-empty": levels(2, lambda: ([], [])),
+    "empty-nested-level": levels(2, lambda: ([1.0], [[]])),
+    "json-floats": from_json(2, [[0.1, -2.5e-300], [1e308]]),
+    "json-ints-near-2^53": from_json(1, [[2**53 - 1, 2**53, 2**53 + 1, 2**53 + 3]]),
+    "json-ints-near-2^63": from_json(2, [[2**63 - 1, 2**63], [2**63 + 1, -(2**63) - 1]]),
+    "json-ints-near-2^64": from_json(2, [[2**64 - 1, 2**64], [2**64 + 1, -(2**64) - 1]]),
+    "json-ints-and-floats": from_json(2, [[1, 2.5], [-3, 2**60 + 1]]),
+}
+
+
+def observe(build):
+    """What building a vector gives: (dims, entry bytes, repr) or (error
+    type, error text), and the warnings it shows."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            x = build()
+        except Exception as exc:
+            outcome = (type(exc).__name__, str(exc))
+        else:
+            entries = b"".join(c.tobytes() for c in x.components)
+            outcome = (x.dims, entries.hex(), repr(x))
+    return (*outcome, [(w.category.__name__, str(w.message)) for w in caught])
+
+
+# id -> what building it gave before the float-tuple storage: (dims, the
+# entries' float64 bytes in hex, repr) or (error type, error text), then
+# the warnings shown
+CONTRACT = {
+    'lists-1d': (
+        (2, 2, 2),
+        '000000000000f03f0000000000000040000000000000084000000000000010c000000000000014400000000000001840',
+        'GradedVector(signature=GradingSignature(r=3), components=(array([1., 2.]), array([ 3., -4.]), array([5., 6.])))',
+        [],
+    ),
+    'lists-and-array': (
+        (2, 2, 2),
+        '000000000000f03f0000000000000040000000000000084000000000000010c000000000000014400000000000001840',
+        'GradedVector(signature=GradingSignature(r=3), components=(array([1., 2.]), array([ 3., -4.]), array([5., 6.])))',
+        [],
+    ),
+    'tuples': (
+        (2, 1),
+        '000000000000e03f000000000000d03f000000000000c0bf',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([0.5 , 0.25]), array([-0.125])))',
+        [],
+    ),
+    'arrays-2d': (
+        (6, 6),
+        '0000000000000000000000000000f03f0000000000000040000000000000084000000000000010400000000000001440000000000000f03f00000000000000400000000000000840000000000000104000000000000014400000000000001840',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([0., 1., 2., 3., 4., 5.]), array([1., 2., 3., 4., 5., 6.])))',
+        [],
+    ),
+    'fortran-2d': (
+        (6, 6),
+        '0000000000000000000000000000f03f0000000000000040000000000000084000000000000010400000000000001440000000000000f03f000000000000f03f000000000000f03f000000000000f03f000000000000f03f000000000000f03f',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([0., 1., 2., 3., 4., 5.]), array([1., 1., 1., 1., 1., 1.])))',
+        [],
+    ),
+    'strided': (
+        (3, 2),
+        '0000000000000000000000000000084000000000000018400000000000001c400000000000000840',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([0., 3., 6.]), array([7., 3.])))',
+        [],
+    ),
+    'levels-0d': (
+        (1, 1, 1),
+        '000000000000f83f00000000000000c00000000000000840',
+        'GradedVector(signature=GradingSignature(r=3), components=(array([1.5]), array([-2.]), array([3.])))',
+        [],
+    ),
+    'ragged': (
+        (2, 1, 2),
+        '000000000000f03f0000000000000040000000000000084000000000000010400000000000001440',
+        'GradedVector(signature=GradingSignature(r=3), components=(array([1., 2.]), array([3.]), array([4., 5.])))',
+        [],
+    ),
+    'ragged-0d': (
+        (1, 2),
+        '000000000000f03f00000000000000400000000000000840',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([1.]), array([2., 3.])))',
+        [],
+    ),
+    'ragged-nested': (
+        'ValueError',
+        'setting an array element with a sequence. The requested array has an inhomogeneous shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part.',
+        [],
+    ),
+    'ints': (
+        (2, 2),
+        '000000000000f03f0000000000000040000000000000084000000000000010c0',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([1., 2.]), array([ 3., -4.])))',
+        [],
+    ),
+    'ints-and-floats': (
+        (2, 2),
+        '000000000000f03f00000000000004400000000000000840000000000000b043',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([1. , 2.5]), array([3.0000000e+00, 1.1529215e+18])))',
+        [],
+    ),
+    'ints-past-2^53': (
+        (3,),
+        '0000000000004043020000000000404300000000000040c3',
+        'GradedVector(signature=GradingSignature(r=1), components=(array([ 9.00719925e+15,  9.00719925e+15, -9.00719925e+15]),))',
+        [],
+    ),
+    'ints-near-2^63': (
+        (2, 2),
+        '000000000000e043000000000000e0c3000000000000e043000000000000e0c3',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([ 9.22337204e+18, -9.22337204e+18]), array([ 9.22337204e+18, -9.22337204e+18])))',
+        [],
+    ),
+    'ints-near-2^64': (
+        (2, 2),
+        '000000000000f043000000000000f043000000000000f0430000000000000044',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([1.84467441e+19, 1.84467441e+19]), array([1.84467441e+19, 3.68934881e+19])))',
+        [],
+    ),
+    'int-10**400': (
+        'OverflowError',
+        'int too large to convert to float',
+        [],
+    ),
+    'int-minus-10**400': (
+        'OverflowError',
+        'int too large to convert to float',
+        [],
+    ),
+    'float16': (
+        (2, 1),
+        '000000000098b93f000000000098c9bf000000000000f03f',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([ 0.09997559, -0.19995117]), array([1.])))',
+        [],
+    ),
+    'float32': (
+        (2, 1),
+        '000000a09999b93f000000a09999c9bf000000403333d33f',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([ 0.1, -0.2]), array([0.30000001])))',
+        [],
+    ),
+    'longdouble': (
+        (2,),
+        '9a9999999999b93f9c7500883ce4377e',
+        'GradedVector(signature=GradingSignature(r=1), components=(array([1.e-001, 1.e+300]),))',
+        [],
+    ),
+    'big-endian': (
+        (2, 1),
+        '000000000000f83f00000000000002c00000000000000840',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([ 1.5 , -2.25]), array([3.])))',
+        [],
+    ),
+    'int64-array': (
+        (2, 2),
+        '000000000000d04300000000000008c00000000000000000000000000000f03f',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([ 4.61168602e+18, -3.00000000e+00]), array([0., 1.])))',
+        [],
+    ),
+    'uint64-array': (
+        (2,),
+        '000000000000f0430000000000004043',
+        'GradedVector(signature=GradingSignature(r=1), components=(array([1.84467441e+19, 9.00719925e+15]),))',
+        [],
+    ),
+    'bool-array': (
+        (2,),
+        '000000000000f03f0000000000000000',
+        'GradedVector(signature=GradingSignature(r=1), components=(array([1., 0.]),))',
+        [],
+    ),
+    'object-array': (
+        (3, 1),
+        '000000000000f83f0000000000000040555555555555d53f000000000000f03f',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([1.5       , 2.        , 0.33333333]), array([1.])))',
+        [],
+    ),
+    'datetime64': (
+        (1,),
+        '0000000080d5d140',
+        'GradedVector(signature=GradingSignature(r=1), components=(array([18262.]),))',
+        [],
+    ),
+    'complex-array': (
+        (2,),
+        '000000000000f03f0000000000000040',
+        'GradedVector(signature=GradingSignature(r=1), components=(array([1., 2.]),))',
+        [('ComplexWarning', 'Casting complex values to real discards the imaginary part')],
+    ),
+    'complex': (
+        'TypeError',
+        "float() argument must be a string or a real number, not 'complex'",
+        [],
+    ),
+    'numpy-scalars': (
+        (2, 1),
+        '000000000000f83f000000a09999b93f0000000000000840',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([1.5, 0.1]), array([3.])))',
+        [],
+    ),
+    'strings-that-parse': (
+        (2, 2),
+        '000000000000f83f00000000000000c0fca9f1d24d62503f0000000000001040',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([ 1.5, -2. ]), array([1.e-03, 4.e+00])))',
+        [],
+    ),
+    'string-that-does-not': (
+        'ValueError',
+        "could not convert string to float: 'x'",
+        [],
+    ),
+    'string-components': (
+        (1, 1),
+        '000000000000f03f0000000000000040',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([1.]), array([2.])))',
+        [],
+    ),
+    'bytes': (
+        (1,),
+        '000000000000f83f',
+        'GradedVector(signature=GradingSignature(r=1), components=(array([1.5]),))',
+        [],
+    ),
+    'bools': (
+        (2, 1),
+        '000000000000f03f0000000000000000000000000000f03f',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([1., 0.]), array([1.])))',
+        [],
+    ),
+    'none': (
+        (1, 1),
+        '000000000000f87f000000000000f03f',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([nan]), array([1.])))',
+        [],
+    ),
+    'dict': (
+        'TypeError',
+        "float() argument must be a string or a real number, not 'dict'",
+        [],
+    ),
+    'set': (
+        'TypeError',
+        "float() argument must be a string or a real number, not 'set'",
+        [],
+    ),
+    'decimal': (
+        (2,),
+        '9a9999999999b93f000000000000f07f',
+        'GradedVector(signature=GradingSignature(r=1), components=(array([0.1, inf]),))',
+        [],
+    ),
+    'fraction': (
+        (2,),
+        '555555555555d53f922449922449d2bf',
+        'GradedVector(signature=GradingSignature(r=1), components=(array([ 0.33333333, -0.28571429]),))',
+        [],
+    ),
+    'array-module': (
+        (2,),
+        '000000000000f83f000000000000e0bf',
+        'GradedVector(signature=GradingSignature(r=1), components=(array([ 1.5, -0.5]),))',
+        [],
+    ),
+    'generator-of-levels': (
+        (2, 2, 2),
+        '000000000000e03f000000000000e03f000000000000f83f000000000000f83f00000000000004400000000000000440',
+        'GradedVector(signature=GradingSignature(r=3), components=(array([0.5, 0.5]), array([1.5, 1.5]), array([2.5, 2.5])))',
+        [],
+    ),
+    'generator-level': (
+        'TypeError',
+        "float() argument must be a string or a real number, not 'generator'",
+        [],
+    ),
+    'bare-float': (
+        'TypeError',
+        "'float' object is not iterable",
+        [],
+    ),
+    'special-values': (
+        (2, 3),
+        '000000000000f87f000000000000f07f000000000000f0ff00000000000000800100000000000000',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([nan, inf]), array([    -inf, -0.e+000,  5.e-324])))',
+        [],
+    ),
+    'too-few': (
+        'ValueError',
+        'expected 3 components, got 2',
+        [],
+    ),
+    'too-many': (
+        'ValueError',
+        'expected 3 components, got 4',
+        [],
+    ),
+    'no-levels': (
+        'ValueError',
+        'expected 1 components, got 0',
+        [],
+    ),
+    'empty-level': (
+        'ValueError',
+        'level 2 must have dimension >= 1',
+        [],
+    ),
+    'all-empty': (
+        'ValueError',
+        'level 1 must have dimension >= 1',
+        [],
+    ),
+    'empty-nested-level': (
+        'ValueError',
+        'level 2 must have dimension >= 1',
+        [],
+    ),
+    'json-floats': (
+        (2, 1),
+        '9a9999999999b93f2f30b7b3a7c9ba81a0c8eb85f3cce17f',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([ 1.0e-001, -2.5e-300]), array([1.e+308])))',
+        [],
+    ),
+    'json-ints-near-2^53': (
+        (4,),
+        'ffffffffffff3f43000000000000404300000000000040430200000000004043',
+        'GradedVector(signature=GradingSignature(r=1), components=(array([9.00719925e+15, 9.00719925e+15, 9.00719925e+15, 9.00719925e+15]),))',
+        [],
+    ),
+    'json-ints-near-2^63': (
+        (2, 2),
+        '000000000000e043000000000000e043000000000000e043000000000000e0c3',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([9.22337204e+18, 9.22337204e+18]), array([ 9.22337204e+18, -9.22337204e+18])))',
+        [],
+    ),
+    'json-ints-near-2^64': (
+        (2, 2),
+        '000000000000f043000000000000f043000000000000f043000000000000f0c3',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([1.84467441e+19, 1.84467441e+19]), array([ 1.84467441e+19, -1.84467441e+19])))',
+        [],
+    ),
+    'json-ints-and-floats': (
+        (2, 2),
+        '000000000000f03f000000000000044000000000000008c0000000000000b043',
+        'GradedVector(signature=GradingSignature(r=2), components=(array([1. , 2.5]), array([-3.0000000e+00,  1.1529215e+18])))',
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CONTRACT_CASES)
+def test_construction_keeps_its_contract(case):
+    assert observe(CONTRACT_CASES[case]) == CONTRACT[case]
 
 
 def test_derived_vectors_make_their_level_views_on_first_read():

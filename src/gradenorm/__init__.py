@@ -39,7 +39,7 @@ _EXPORTS = {
     "report_pieces": "certificate",
     "certificate_to_json": "certificate",
     "certificate_from_json": "certificate",
-    "InvalidCertificateError": "certificate",
+    "InvalidCertificateError": "exactmath",
     "REASONS": "certificate",
     "GradedVector": "graded_space",
     "ScalarProfile": "graded_space",

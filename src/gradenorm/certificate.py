@@ -112,7 +112,7 @@ from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
-from .exactmath import FrozenValue, GradingSignature, _binom_row, binom
+from .exactmath import FrozenValue, GradingSignature, InvalidCertificateError, _binom_row, binom
 from .expansion import orbit_triples, shadow_strings
 
 # The rational-exponent definitions the checker reproduces in integers.
@@ -153,12 +153,6 @@ REASONS = (
     REASON_INCOMPLETE,
     REASON_MIDDLE_MISMATCH,
 )
-
-
-class InvalidCertificateError(ValueError):
-    """A well-formed certificate that fails the check. Other
-    ``ValueError``s are domain errors: an index out of range, or a
-    certificate for another length."""
 
 
 class CertificateLine(FrozenValue):

@@ -25,15 +25,22 @@ before the first byte: the check, and the int-to-str digit limit that
 C(2r, r) passes from r = 7,146 (``certificate._require_str_digits``),
 which exits 2.
 
-numpy, ``graded_space`` and ``numeric_search`` are imported inside the
-handlers that compute floats (norm, dilate, triangle-sample, hunt), so
-prove, check and report run on the exact modules alone. Those commands
-and --version import no numpy, dataclasses, inspect or typing: this
-module needs argparse, json, os and sys, and the exact core math,
-operator and collections.abc. Nor do they import fractions or decimal,
-which only the functions that build a ``Fraction`` load, and none of
-these commands calls one (tests/test_trusted_core.py and the CI
-workflow check this).
+Each handler imports what it computes with: ``graded_space`` and
+``numeric_search`` for norm, dilate, triangle-sample and hunt,
+``certificate`` and ``expansion`` for prove, check and report. This
+module itself needs argparse, json, os and sys, and from the exact core
+``exactmath`` alone, for ``GradingSignature`` and the
+``InvalidCertificateError`` that ``main`` maps to exit 1.
+
+Which commands load numpy: triangle-sample --r and hunt, which draw from
+its random generator. norm, dilate and triangle-sample --in run on
+Python floats and load neither numpy nor dataclasses, unless a norm's
+power sum leaves the normal double range and is rescaled with numpy
+(tests/test_cli.py and the CI workflow check this). prove, check,
+report and --version import no numpy, dataclasses, inspect or typing,
+nor fractions or decimal, which only the functions that build a
+``Fraction`` load, and none of these commands calls one
+(tests/test_trusted_core.py and the CI workflow check this).
 """
 
 from __future__ import annotations
@@ -45,18 +52,7 @@ import sys
 from collections.abc import Iterable, Sequence
 
 from . import __version__
-from .certificate import (
-    InvalidCertificateError,
-    _require_str_digits,
-    certificate_from_json,
-    certificate_to_json,
-    certificate_to_report,
-    check_certificate,
-    report_pieces,
-    search_certificate,
-)
-from .exactmath import GradingSignature
-from .expansion import orbit_pieces, rhs_table, shadow_pieces
+from .exactmath import GradingSignature, InvalidCertificateError
 
 # before any handler imports numpy; a value the caller set wins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -176,21 +172,16 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 
 
 def _cmd_dilate(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from .graded_space import dilate, vector_from_json, vector_to_json
 
     vec = vector_from_json(_load_json(args.infile))
-    with np.errstate(over="ignore"):
-        scaled = dilate(args.t, vec)
+    scaled = dilate(args.t, vec)
     # a component that overflowed raises here and never leaves as JSON Infinity
     _emit(vector_to_json(scaled))
     return 0
 
 
 def _cmd_triangle_sample(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from .graded_space import hnorm, random_vector, vector_from_json, vector_to_json
 
     if args.infile is not None:
@@ -200,6 +191,8 @@ def _cmd_triangle_sample(args: argparse.Namespace) -> int:
         x = vector_from_json(payload["X"])
         y = vector_from_json(payload["Y"])
     elif args.r is not None:
+        import numpy as np
+
         sig = GradingSignature(args.r)
         dims = None
         if args.dims:
@@ -210,8 +203,7 @@ def _cmd_triangle_sample(args: argparse.Namespace) -> int:
     else:
         raise ValueError("provide --in or --r")
     # hnorm raises when a level length, of X + Y too, leaves the double range
-    with np.errstate(over="ignore"):
-        nx, ny, nsum = hnorm(x), hnorm(y), hnorm(x + y)
+    nx, ny, nsum = hnorm(x), hnorm(y), hnorm(x + y)
     # triangle_defect(x, y), without evaluating the three norms again
     result = {
         "X": vector_to_json(x),
@@ -232,6 +224,14 @@ def _cmd_triangle_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
+    from .certificate import (
+        _require_str_digits,
+        certificate_to_json,
+        certificate_to_report,
+        report_pieces,
+        search_certificate,
+    )
+
     _require_str_digits(args.r)
     sig = GradingSignature(args.r)
     cert = search_certificate(sig)
@@ -255,6 +255,8 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .certificate import certificate_from_json, check_certificate
+
     cert = certificate_from_json(_load_json(args.file))
     report = check_certificate(GradingSignature(cert.r), cert)
     _emit(report.to_json())
@@ -282,6 +284,14 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .certificate import (
+        _require_str_digits,
+        certificate_from_json,
+        certificate_to_report,
+        report_pieces,
+    )
+    from .expansion import orbit_pieces, rhs_table, shadow_pieces
+
     cert = certificate_from_json(_load_json(args.file))
     _require_str_digits(cert.r)
     sig = GradingSignature(cert.r)

@@ -36,10 +36,11 @@ Value classes. The nine immutable records of the exact core
 ``__init__``. They are not dataclasses because ``import dataclasses``
 (with ``inspect``) and the decorator's code generation would be about
 half the import time of ``gradenorm.cli`` for ``check``, ``prove``,
-``report`` and ``--version``, which need neither. The float side
-(``graded_space``, ``numeric_search``) keeps ``@dataclass``, since numpy
-imports ``inspect`` anyway, except for ``GradedVector``, a slotted class
-because its construction cost is measured per call.
+``report`` and ``--version``, which need neither. ``numeric_search``
+keeps ``@dataclass``, since numpy imports ``inspect`` anyway.
+``graded_space``'s ``GradedVector`` and ``ScalarProfile`` are plain
+classes too, so that ``norm``, ``dilate`` and ``triangle-sample --in``,
+which run on Python floats without numpy, load no ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ import math
 __all__ = [
     "GradingSignature",
     "ExponentPair",
+    "InvalidCertificateError",
     "binom",
     "majorizes",
     "ratio_to_str",
@@ -92,6 +94,14 @@ class FrozenValue:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class InvalidCertificateError(ValueError):
+    """A well-formed certificate that fails the check. Other
+    ``ValueError``s are domain errors: an index out of range, or a
+    certificate for another length. ``certificate`` raises it; it lives
+    here so that the command line maps it to exit 1 without loading
+    ``certificate`` for the commands that never check one."""
 
 
 class GradingSignature(FrozenValue):

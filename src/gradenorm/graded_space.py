@@ -21,34 +21,28 @@ per-level norms. The certificate module proves that scalar statement
 with exact arithmetic; this module is double-precision throughout and
 never enters the proof-checking path.
 
-A GradedVector is a plain frozen class with ``__slots__``, with the
-constructor, repr, identity equality, pickling and
-``FrozenInstanceError`` on assignment of the frozen slots dataclass it
-replaced, at less cost per call. It copies its input once into one
-flat read-only float64 array that it owns, and stores ``dims``. Levels
-of one shape are converted by one ``np.array`` call and the result is
-flattened in place (``_one_call``); ragged levels, or an entry that does
-not convert, go a level at a time, which raises the error of the first
-bad level. ``components`` are per-level read-only views into the flat
-array, made on first read and kept, so a vector that is only measured
-never makes them. Vectors of equal ``dims`` share one tuple of level
-slices from a table of at most 64 layouts; the component count and the
-level dimensions are still checked for every vector. ``x + y``, ``-x``
-and ``dilate`` are one numpy operation on the flat array each, and their
-results skip the input validation, since they keep the layout of a
-vector that already passed it; ``random_vector`` draws into one flat
-array and skips it too.
+GradedVector and ScalarProfile are frozen classes on ``_Frozen`` with
+the constructor, repr, identity equality, pickling and
+``FrozenInstanceError`` of the frozen dataclasses they replaced. A
+vector holds its entries as one tuple of Python floats, ``_values``,
+beside ``dims``, and converts levels of other types a level at a time
+(``_converted``). ``components`` are read-only float64 views into one
+array, made on first read and kept. Vectors of equal ``dims`` share one
+tuple of level slices from a table of at most 64 layouts; the count and
+dimensions are still checked for every vector. ``x + y``, ``-x`` and
+``dilate`` use the IEEE add, negation and multiply that numpy applies,
+so an overflowed entry is inf without a warning; they, ``zero`` and
+``random_vector`` skip the input validation.
 
-``hnorm`` keeps each vector's norm in a slot once it has computed it; a
-norm that raises is not kept, so it raises again on every call.
-``triangle_defect`` and ``homogeneity_defect`` build no vector. They
-take the kept norms of x and y, or compute and keep them from the
-entries they read anyway (``_kept_norm``), and subtract them in the
-order and with the bits of ``hnorm(x + y) - hnorm(x) - hnorm(y)`` and
-``hnorm(dilate(t, x)) - abs(t) * hnorm(x)``. The sum and the dilated
-entries are formed on the Python floats of ``tolist()``, the same IEEE
-add and multiply that numpy applies; an entry that overflows reaches
-``_norm`` as inf and raises ValueError there, without a numpy warning.
+``hnorm`` keeps each vector's norm in a slot; a norm that raises is not
+kept. ``triangle_defect`` and ``homogeneity_defect`` build no vector and
+keep the bits of ``hnorm(x + y) - hnorm(x) - hnorm(y)`` and
+``hnorm(dilate(t, x)) - abs(t) * hnorm(x)`` (``_kept_norm``).
+
+numpy is imported only where it is used: ``ScalarProfile``, the batch
+kernel, ``_rescaled_norms``, ``random_vector``, ``_converted`` and
+``components``; so ``norm``, ``dilate`` and ``triangle-sample --in``
+load none unless a norm is rescaled.
 
 The norm formula has its two evaluators here. ``_norm``, behind
 ``hnorm`` and ``scalar_norm``, runs on Python floats: ``math.hypot``
@@ -65,8 +59,8 @@ length beyond the double range raises ValueError in ``_norm``.
 The batch kernel skips work whose answer it knows, and keeps its bits.
 Its powers of the level lengths take their exponents as one C-contiguous
 block of the bases' shape (``_tiled``), so numpy runs one flat loop
-instead of one per row. Which other shortcut pays depends on numpy's float64 power
-loop, which ``POWER_LOOP`` names once at import
+instead of one per row. Which other shortcut pays depends on numpy's
+float64 power loop, which ``POWER_LOOP`` names, read on first use
 (``numpy.lib.introspect.opt_func_info``). Under ``"X86_V4"`` (AVX-512)
 an exact zero base costs about 4 times a normal one, so bases the caller
 knows to be zero (the hunt's lattice) are raised as 1.0 and their powers
@@ -75,11 +69,8 @@ the two extra passes would be a loss, so nothing is substituted. The
 hunt pins and the per-object bit pins hold the bits of one loop, so the
 tests pick their literals by ``POWER_LOOP``. A row that must overflow,
 judged from its levels' frexp exponents, goes to ``_rescaled_norms``
-without a power pass. There a level whose scaled 2r-th power is below
-2^-1022 is left out: the scaled sum holds the top level's exact 1.0, and
-a term that small is absorbed by any partial sum from about 2^-969 up,
-so it cannot change the sum, while under X86_V4 raising it to a result
-that underflows would cost about 60 ns instead of 5.
+without a power pass, and that leaves out every term too small to
+change its sum.
 
 The two evaluators do not agree bit for bit: on 20,000 log-uniform
 rows (10^U(-3, 3)) per length, 4-7% of the norms differ by one unit in
@@ -95,14 +86,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import FrozenInstanceError, dataclass
+from collections.abc import Sequence
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import hypot
-from operator import add, index
-from typing import Any, Sequence
-
-import numpy as np
+from operator import add, index, neg
 
 from .exactmath import GradingSignature
 
@@ -124,139 +112,136 @@ __all__ = [
 ]
 
 _INF = math.inf
-_FLOAT = np.dtype(float)
 _TINY = sys.float_info.min  # the smallest normal double
+_FLOATS = {float}
+_PLAIN = {list, tuple}
 
 
-class GradedVector:
-    """One real Euclidean component per level, held in one flat array.
+class _Frozen:
+    """A frozen dataclass's repr and ``FrozenInstanceError``, without
+    loading ``dataclasses`` until an assignment raises."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class GradedVector(_Frozen):
+    """One real Euclidean component per level, held as one tuple of floats.
 
     ``GradedVector(signature, components)`` copies the levels once into
-    the read-only float64 array ``_flat``; ``components`` are read-only
-    views into it, made on first read and kept. ``hnorm`` keeps the norm
-    it computes. Equality is identity, and any assignment or deletion
-    raises ``FrozenInstanceError``.
+    the tuple ``_values``; equality is identity.
     """
 
-    __slots__ = ("signature", "dims", "_flat", "_levels", "_components", "_hnorm")
+    __slots__ = ("signature", "dims", "_values", "_levels", "_components", "_hnorm")
     __match_args__ = ("signature", "components")
 
-    def __init__(self, signature: GradingSignature, components: Sequence[Any]) -> None:
+    def __init__(self, signature: GradingSignature, components: Sequence[object]) -> None:
         self.__post_init__(signature, components)
 
-    def __post_init__(self, signature: GradingSignature, components: Sequence[Any]) -> None:
+    def __post_init__(self, signature: GradingSignature, components: Sequence[object]) -> None:
         # the checked construction entry; bench/tracing.py counts the
         # vectors built by rebinding it, and _wrap skips it
         if type(components) is not tuple:
             components = tuple(components)
-        r = signature.r
-        flat = _one_call(components)
-        if flat is None:
-            # ragged levels, or an entry that does not convert: a level
-            # at a time, which raises the error of the first bad level
-            parts = [np.asarray(c, dtype=float).ravel() for c in components]
-            dims = tuple([p.size for p in parts])
-            levels = _layout(r, dims)
-            flat = np.concatenate(parts)
-        else:
-            size = flat.size
-            if len(components) != r or not size:
-                # a wrong count or empty levels, which _layout names and raises
-                _layout(r, (math.prod(flat.shape[1:]),) * len(components))
-            dims = (size // r,) * r
-            levels = _level_slices(dims)
-            # in place: a reshaped view would make the components views
-            # of a view, and this vector would not own its storage
-            flat.shape = size
-        self._store(signature, flat, dims, levels)
+        plain = _PLAIN.issuperset(map(type, components))
+        if not (plain and _FLOATS.issuperset(map(type, chain.from_iterable(components)))):
+            components = _converted(components)
+        values = []
+        for level in components:
+            values += level
+        dims = tuple(map(len, components))
+        self._store(signature, tuple(values), dims, _layout(signature.r, dims))
 
-    def _store(
-        self, signature: GradingSignature, flat: np.ndarray, dims: tuple[int, ...], levels: tuple[slice, ...]
-    ) -> None:
-        flat.setflags(write=False)
+    def _store(self, signature: GradingSignature, values: tuple, dims: tuple, levels: tuple) -> None:
         _set_signature(self, signature)
-        _set_flat(self, flat)
+        _set_values(self, values)
         _set_dims(self, dims)
         _set_levels(self, levels)
         _set_hnorm(self, None)
 
     @staticmethod
-    def _wrap(
-        signature: GradingSignature, flat: np.ndarray, dims: tuple[int, ...], levels: tuple[slice, ...]
-    ) -> "GradedVector":
-        """A vector holding the fresh array ``flat`` in a layout that
+    def _wrap(signature: GradingSignature, values: tuple, dims: tuple, levels: tuple) -> "GradedVector":
+        """A vector holding the floats ``values`` in a layout that
         ``_layout`` already checked, so ``__post_init__`` is skipped."""
         out = object.__new__(GradedVector)
-        out._store(signature, flat, dims, levels)
+        out._store(signature, values, dims, levels)
         return out
 
-    def _derive(self, flat: np.ndarray) -> "GradedVector":
-        """A vector over this one's space holding the fresh array ``flat``."""
-        return GradedVector._wrap(self.signature, flat, self.dims, self._levels)
+    def _derive(self, values: tuple[float, ...]) -> "GradedVector":
+        """A vector over this one's space holding the floats ``values``."""
+        return GradedVector._wrap(self.signature, values, self.dims, self._levels)
 
     @property
     def components(self) -> tuple[np.ndarray, ...]:
-        """The per-level read-only views into ``_flat``."""
+        """The per-level read-only views into one float64 array of ``_values``."""
         try:
             return self._components
         except AttributeError:
-            flat = self._flat
+            import numpy as np
+
+            flat = np.array(self._values, dtype=float)
+            flat.setflags(write=False)
             views = tuple([flat[s] for s in self._levels])
             _set_components(self, views)
             return views
 
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(signature={self.signature!r}, components={self.components!r})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __reduce__(self) -> tuple:
-        # rebuild through __init__, so that a copy's components are again
-        # read-only views into one flat array
-        return GradedVector, (self.signature, self.components)
+        # rebuild through __init__ from the levels' floats, which needs no numpy
+        return GradedVector, (self.signature, tuple([self._values[s] for s in self._levels]))
 
     @classmethod
-    def from_components(cls, components: Sequence[Any]) -> "GradedVector":
+    def from_components(cls, components: Sequence[object]) -> "GradedVector":
         """Build a vector inferring r from the component count."""
         return cls(GradingSignature(len(components)), tuple(components))
 
     @classmethod
     def zero(cls, signature: GradingSignature, dims: Sequence[int] | None = None) -> "GradedVector":
-        dims = tuple(dims) if dims is not None else (3,) * signature.r
-        return cls(signature, tuple(np.zeros(d) for d in dims))
+        dims = tuple(map(index, dims)) if dims is not None else (3,) * signature.r
+        return GradedVector._wrap(signature, (0.0,) * sum(dims), dims, _layout(signature.r, dims))
 
     def __add__(self, other: "GradedVector") -> "GradedVector":
         _require_same_space(self, other)
-        return self._derive(self._flat + other._flat)
+        return self._derive(tuple(map(add, self._values, other._values)))
 
     def __neg__(self) -> "GradedVector":
-        return self._derive(-self._flat)
+        return self._derive(tuple(map(neg, self._values)))
 
 
 # the slots' own setters: __setattr__ refuses every write
-_set_signature, _set_dims, _set_flat, _set_levels, _set_components, _set_hnorm = (
+_set_signature, _set_dims, _set_values, _set_levels, _set_components, _set_hnorm = (
     GradedVector.__dict__[name].__set__ for name in GradedVector.__slots__
 )
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarProfile:
+class ScalarProfile(_Frozen):
     """Per-level nonnegative magnitudes, the shadow of a graded vector."""
 
-    signature: GradingSignature
-    magnitudes: np.ndarray
+    __match_args__ = ("signature", "magnitudes")
 
-    def __post_init__(self) -> None:
-        mags = np.array(self.magnitudes, dtype=float, copy=True).reshape(-1)
-        if mags.size != self.signature.r:
-            raise ValueError(f"expected {self.signature.r} magnitudes, got {mags.size}")
+    def __init__(self, signature: GradingSignature, magnitudes: object) -> None:
+        import numpy as np
+
+        mags = np.array(magnitudes, dtype=float, copy=True).reshape(-1)
+        if mags.size != signature.r:
+            raise ValueError(f"expected {signature.r} magnitudes, got {mags.size}")
         if np.any(mags < 0) or not np.all(np.isfinite(mags)):
             raise ValueError("profile magnitudes must be finite and nonnegative")
         mags.setflags(write=False)
+        object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "magnitudes", mags)
 
     def __add__(self, other: "ScalarProfile") -> "ScalarProfile":
@@ -265,21 +250,18 @@ class ScalarProfile:
         return ScalarProfile(self.signature, self.magnitudes + other.magnitudes)
 
 
-def _one_call(components: tuple) -> np.ndarray | None:
-    """The levels as one new float64 array of shape (count, *level shape),
-    or None where they differ in shape or an entry fails to convert.
+def _converted(components: tuple) -> list:
+    """Each level as ``np.asarray(level, dtype=float).ravel()`` holds it,
+    in Python floats, a level at a time so that the first bad level
+    raises; a 1-D float64 array and a list or tuple of floats skip it."""
+    import numpy as np
 
-    Float64 entries convert in about half the time without numpy's dtype
-    argument; any other array is converted again with it. An error of
-    either call is left to the per-level path, which raises the error of
-    the first bad level."""
-    try:
-        flat = np.array(components)
-        if flat.dtype is not _FLOAT:
-            flat = np.array(components, dtype=float)
-    except (ValueError, TypeError, OverflowError):
-        return None
-    return flat
+    return [
+        level.tolist() if type(level) is np.ndarray and level.dtype.char == "d" and level.ndim == 1
+        else level if type(level) in _PLAIN and _FLOATS.issuperset(map(type, level))
+        else np.asarray(level, dtype=float).ravel().tolist()
+        for level in components
+    ]
 
 
 def _require_same_space(x: GradedVector, y: GradedVector) -> None:
@@ -332,26 +314,27 @@ def _norm(mags: list[float], exponents: tuple[int, ...]) -> float:
         return total ** (1.0 / two_r)
     if not all(a < _INF for a in mags):
         raise ValueError("a level length exceeds the double range")
-    return float(_rescaled_norms(np.array([mags]), exponents)[0])
+    return float(_rescaled_norms([mags], exponents)[0])
 
 
-def _power_loop() -> str:
-    """The target numpy dispatches its float64 ``power`` loop to, as
-    ``numpy.lib.introspect.opt_func_info`` names it: with numpy 2.4.6 on
-    x86-64, ``"X86_V4"`` (AVX-512) or ``"baseline(X86_V2)"``. A numpy
-    that does not dispatch ``power`` by CPU lists no loop for it."""
+def __getattr__(name: str) -> str | bool:
+    """``POWER_LOOP``, the target numpy dispatches its float64 ``power``
+    loop to, as ``numpy.lib.introspect.opt_func_info`` names it (with
+    numpy 2.4.6 on x86-64, ``"X86_V4"`` or ``"baseline(X86_V2)"``), and
+    ``ZERO_BASES_ARE_SLOW``, whether it is ``"X86_V4"``. Both are read
+    once, on first use, so that loading this module loads no numpy."""
+    if name not in ("POWER_LOOP", "ZERO_BASES_ARE_SLOW"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     try:
         from numpy.lib.introspect import opt_func_info
     except ImportError:  # numpy before 2.0 cannot say
-        return "unknown"
-    loops = opt_func_info(func_name="^power$", signature="float64").get("power", {})
-    return next(iter(loops.values()), {}).get("current", "not dispatched")
+        loop = "unknown"
+    else:  # a numpy that does not dispatch power by CPU lists no loop for it
+        loops = opt_func_info(func_name="^power$", signature="float64").get("power", {})
+        loop = next(iter(loops.values()), {}).get("current", "not dispatched")
+    globals().update(POWER_LOOP=loop, ZERO_BASES_ARE_SLOW=loop == "X86_V4")
+    return globals()[name]
 
-
-# read once: the hunt pins hold the bits of one loop, and only under
-# X86_V4 does an exact zero base cost more than a normal one
-POWER_LOOP = _power_loop()
-ZERO_BASES_ARE_SLOW = POWER_LOOP == "X86_V4"
 
 _TILES: dict[bytes, np.ndarray] = {}
 
@@ -362,6 +345,8 @@ def _tiled(row: np.ndarray, rows: int) -> np.ndarray:
     costs a loop call per row. The block is a slice of a tile shared by
     every call with this ``row``, which grows to the most rows asked
     for; at most 16 tiles are kept."""
+    import numpy as np
+
     key = row.tobytes()
     tile = _TILES.get(key)
     if tile is None or tile.shape[0] < rows:
@@ -376,6 +361,8 @@ def _tiled(row: np.ndarray, rows: int) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _root_table(two_r: int) -> np.ndarray:
     """2^(rem/2r) for rem = 0..2r-1, each as ``2.0 ** (rem / 2r)``."""
+    import numpy as np
+
     return 2.0 ** (np.arange(two_r) / two_r)
 
 
@@ -400,6 +387,8 @@ def _rescaled_norms(mags: np.ndarray, exponents: np.ndarray | Sequence[int]) -> 
     least 1). Its power would cost the most: under X86_V4, np.power takes
     about 60 ns on a result that underflows against about 5 on others.
     """
+    import numpy as np
+
     exps = np.asarray(exponents, dtype=np.int64)
     two_r = int(exps[0])
     m, p = np.frexp(mags)
@@ -427,6 +416,8 @@ def _powers(
     their powers set back to 0: 0 + 1 and 1 - 1 are exact, as are x + 0
     and y - 0, so the powers keep their bits.
     """
+    import numpy as np
+
     if zeros is not None:
         mags = np.add(mags, zeros, out=out)
     out = np.power(mags, _tiled(exponents, len(mags)), out=out)
@@ -441,6 +432,8 @@ def _sums_short_of_overflow(
     """The power sum of each row of each block, or inf without a power
     pass where a level has a_i >= 2^ceil(1024/e_i): a frexp exponent that
     large makes a_i^{e_i} at least 2^1024, so the sum would overflow."""
+    import numpy as np
+
     limits = 2.0 ** np.ceil(1024 / exponents)
     totals = np.full((len(blocks), blocks[0].shape[0]), np.inf)
     for total, mags, zero in zip(totals, blocks, zeros):
@@ -450,7 +443,6 @@ def _sums_short_of_overflow(
     return totals
 
 
-@np.errstate(over="ignore")
 def _batch_norms(
     exponents: np.ndarray, *blocks: np.ndarray, zeros: Sequence[np.ndarray] | None = None
 ) -> np.ndarray:
@@ -476,30 +468,33 @@ def _batch_norms(
     hunt draws its magnitudes up to exp(3 ln 10) = 1e3 + 7e-13, so their
     sums stay below 2^11, and below that no row of a hunt would skip it.
     """
-    r = exponents.shape[0]
-    if r == 1:
-        # (a^2)^(1/2) is the magnitude itself; keep it bit-exact
-        return np.stack([mags[:, 0] for mags in blocks])
-    zeros = zeros or (None,) * len(blocks)
-    if exponents[0] * 10 >= 1024:
-        totals = _sums_short_of_overflow(exponents, blocks, zeros)
-    else:
-        powers = np.empty((len(blocks),) + blocks[0].shape)
-        for out, mags, zero in zip(powers, blocks, zeros):
-            _powers(mags, exponents, out, zero)
-        if r < 8:
-            totals = powers[..., 0] + powers[..., 1]
-            for j in range(2, r):
-                totals += powers[..., j]
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        r = exponents.shape[0]
+        if r == 1:
+            # (a^2)^(1/2) is the magnitude itself; keep it bit-exact
+            return np.stack([mags[:, 0] for mags in blocks])
+        zeros = zeros or (None,) * len(blocks)
+        if exponents[0] * 10 >= 1024:
+            totals = _sums_short_of_overflow(exponents, blocks, zeros)
         else:
-            totals = powers.sum(axis=-1)
-    if _TINY <= totals.min() and totals.max() < np.inf:
-        return np.power(totals, 1.0 / (2 * r), out=totals)
-    rescale = ~((totals >= _TINY) & (totals < np.inf))
-    norms = np.power(totals, 1.0 / (2 * r), out=totals)
-    for row, mags, rows in zip(norms, blocks, rescale):
-        row[rows] = _rescaled_norms(mags[rows], exponents)
-    return norms
+            powers = np.empty((len(blocks),) + blocks[0].shape)
+            for out, mags, zero in zip(powers, blocks, zeros):
+                _powers(mags, exponents, out, zero)
+            if r < 8:
+                totals = powers[..., 0] + powers[..., 1]
+                for j in range(2, r):
+                    totals += powers[..., j]
+            else:
+                totals = powers.sum(axis=-1)
+        if _TINY <= totals.min() and totals.max() < np.inf:
+            return np.power(totals, 1.0 / (2 * r), out=totals)
+        rescale = ~((totals >= _TINY) & (totals < np.inf))
+        norms = np.power(totals, 1.0 / (2 * r), out=totals)
+        for row, mags, rows in zip(norms, blocks, rescale):
+            row[rows] = _rescaled_norms(mags[rows], exponents)
+        return norms
 
 
 def scalar_norm(a: ScalarProfile) -> float:
@@ -514,22 +509,22 @@ def scalar_defect(a: ScalarProfile, b: ScalarProfile) -> float:
 
 def scalar_profile(x: GradedVector) -> ScalarProfile:
     """Per-level Euclidean norms of a graded vector."""
-    return ScalarProfile(x.signature, np.array(_lengths(tuple(x._flat.tolist()), x._levels)))
+    return ScalarProfile(x.signature, _lengths(x._values, x._levels))
 
 
 def hnorm(x: GradedVector) -> float:
     """The candidate homogeneous norm; equals scalar_norm(scalar_profile(x)).
     Computed once per vector and kept; a norm that raises is not kept."""
     norm = x._hnorm
-    return _kept_norm(x, x._flat.tolist()) if norm is None else norm
+    return _kept_norm(x) if norm is None else norm
 
 
-def _kept_norm(x: GradedVector, values: list[float]) -> float:
-    """hnorm(x), computed from ``values``, the entries of ``x._flat``,
-    and kept only if ``x`` has none yet; a norm that raises is not kept."""
+def _kept_norm(x: GradedVector) -> float:
+    """hnorm(x), kept only if ``x`` has none yet; a norm that raises is
+    not kept."""
     norm = x._hnorm
     if norm is None:
-        norm = _norm(_lengths(tuple(values), x._levels), x.signature.exponents)
+        norm = _norm(_lengths(x._values, x._levels), x.signature.exponents)
         _set_hnorm(x, norm)
     return norm
 
@@ -541,8 +536,10 @@ def _dilation_powers(t: float, r: int) -> list[float]:
     returns inf with a RuntimeWarning where float ** int raises
     OverflowError, and both raise the same bits where they are finite.
     """
-    if type(t) is not float and isinstance(t, np.generic):  # 38 ns for a float, not 117
-        t = t.item()
+    if type(t) is not float:
+        np = sys.modules.get("numpy")  # without numpy loaded, t is no numpy scalar
+        if np is not None and isinstance(t, np.generic):
+            t = t.item()
     if t == 0 or not abs(t) < _INF:  # NaN fails the comparison too
         raise ValueError(f"dilation parameter t must be finite and nonzero, got {t!r}")
     try:
@@ -554,7 +551,8 @@ def _dilation_powers(t: float, r: int) -> list[float]:
 def dilate(t: float, x: GradedVector) -> GradedVector:
     """Scale level i by t^i. The parameter must be finite and nonzero."""
     powers = _dilation_powers(t, x.signature.r)
-    return x._derive(x._flat * np.array(powers).repeat(x.dims))
+    values = x._values
+    return x._derive(tuple([v * p for s, p in zip(x._levels, powers) for v in values[s]]))
 
 
 def homogeneity_defect(x: GradedVector, t: float) -> float:
@@ -564,19 +562,18 @@ def homogeneity_defect(x: GradedVector, t: float) -> float:
     witnesses exist for every r >= 3.
     """
     powers = _dilation_powers(t, x.signature.r)
-    values = tuple(x._flat.tolist())
-    # dilate's products, on Python floats
+    values = x._values
+    # dilate's products
     dilated = [hypot(*[v * p for v in values[s]]) for s, p in zip(x._levels, powers)]
-    return _norm(dilated, x.signature.exponents) - abs(t) * _kept_norm(x, values)
+    return _norm(dilated, x.signature.exponents) - abs(t) * _kept_norm(x)
 
 
 def triangle_defect(x: GradedVector, y: GradedVector) -> float:
     """hnorm(x + y) - hnorm(x) - hnorm(y); nonpositive for r = 5 by the
     paper, and for every r by the per-length certificates."""
     _require_same_space(x, y)
-    xs, ys = x._flat.tolist(), y._flat.tolist()
-    lengths = _lengths(tuple(map(add, xs, ys)), x._levels)  # x + y on Python floats
-    return _norm(lengths, x.signature.exponents) - _kept_norm(x, xs) - _kept_norm(y, ys)
+    lengths = _lengths(tuple(map(add, x._values, y._values)), x._levels)  # x + y
+    return _norm(lengths, x.signature.exponents) - _kept_norm(x) - _kept_norm(y)
 
 
 def random_vector(
@@ -587,6 +584,8 @@ def random_vector(
 ) -> GradedVector:
     """Standard-normal components, optionally rescaled per level by a
     log-uniform magnitude 10^u with u drawn from ``magnitude_decades``."""
+    import numpy as np
+
     dims = tuple(map(index, dims)) if dims is not None else (3,) * signature.r
     levels = _layout(signature.r, dims)
     flat = np.empty(sum(dims))
@@ -596,29 +595,29 @@ def random_vector(
         if magnitude_decades is not None:
             lo, hi = magnitude_decades
             level *= 10.0 ** rng.uniform(lo, hi)
-    return GradedVector._wrap(signature, flat, dims, levels)
+    return GradedVector._wrap(signature, tuple(flat.tolist()), dims, levels)
 
 
 # ---------------------------------------------------------------------------
 # JSON wire formats
 # ---------------------------------------------------------------------------
 
-def _floats(values: Any, key: str) -> np.ndarray:
-    """A JSON list of numbers as a float array; anything else, strings,
+def _floats(values: object, key: str) -> list[float]:
+    """A JSON list of numbers as Python floats; anything else, strings,
     booleans and null included, is a ValueError."""
     if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
         raise ValueError(f"{key} must hold numbers")
     if not all(abs(v) <= sys.float_info.max for v in values):  # exact for ints; false for NaN
         raise ValueError(f"{key} must hold numbers in the double range")
-    return np.array(values, dtype=float)
+    return list(map(float, values))
 
 
 def vector_to_json(x: GradedVector) -> dict:
     """``{"r": int, "components": [[float, ...], ...]}``"""
-    return {"r": x.signature.r, "components": [c.tolist() for c in x.components]}
+    return {"r": x.signature.r, "components": [list(x._values[s]) for s in x._levels]}
 
 
-def vector_from_json(obj: Any) -> GradedVector:
+def vector_from_json(obj: object) -> GradedVector:
     if not isinstance(obj, dict) or "r" not in obj or "components" not in obj:
         raise ValueError("graded vector JSON needs keys 'r' and 'components'")
     r, components = obj["r"], obj["components"]

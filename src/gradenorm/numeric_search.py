@@ -38,10 +38,10 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .certificate import CertificateLine
 from .exactmath import GradingSignature, binom
 from .expansion import shadow
 from .graded_space import (
@@ -51,6 +51,9 @@ from .graded_space import (
     profile_to_json,
     scalar_norm,
 )
+
+if TYPE_CHECKING:  # a hunt needs no certificate module
+    from .certificate import CertificateLine
 
 __all__ = [
     "SearchConfig",

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import gradenorm.certificate as certificate_mod
-import gradenorm.cli as cli_mod
 from gradenorm import numeric_search
 from gradenorm.cli import main
 from gradenorm.graded_space import (
@@ -61,8 +60,8 @@ def test_prove_json_mode_is_parseable(capsys):
 
 def test_prove_builds_the_certificate_json_once_for_out_and_json(capsys, tmp_path, monkeypatch):
     calls = []
-    real = cli_mod.certificate_to_json
-    monkeypatch.setattr(cli_mod, "certificate_to_json", lambda c: calls.append(c) or real(c))
+    real = certificate_mod.certificate_to_json
+    monkeypatch.setattr(certificate_mod, "certificate_to_json", lambda c: calls.append(c) or real(c))
     out = tmp_path / "cert.json"
     code, stdout, _ = run(capsys, "prove", "--r", "5", "--out", str(out), "--json")
     assert code == 0 and len(calls) == 1
@@ -83,7 +82,7 @@ def test_prove_exits_one_when_its_certificate_fails_the_check(capsys, monkeypatc
     # the builder re-targets level 3's first orbit above 2, onto k = 3: the
     # certificate then fails the re-check, and prove must say so without
     # emitting anything
-    real_search = cli_mod.search_certificate
+    real_search = certificate_mod.search_certificate
 
     def retargeted(sig):
         cert = real_search(sig)
@@ -93,7 +92,7 @@ def test_prove_exits_one_when_its_certificate_fails_the_check(capsys, monkeypatc
         )
         return certificate_mod.Certificate(cert.r, lines)
 
-    monkeypatch.setattr(cli_mod, "search_certificate", retargeted)
+    monkeypatch.setattr(certificate_mod, "search_certificate", retargeted)
     code, stdout, err = run(capsys, "prove", "--r", "5")
     assert code == 1
     assert stdout == ""
@@ -559,6 +558,39 @@ def test_triangle_sample_respects_dims(capsys):
     assert code == 0
     payload = json.loads(stdout)
     assert [len(c) for c in payload["X"]["components"]] == [1, 4, 2]
+
+
+def imported_modules(argv):
+    """The modules a ``python -X importtime -m gradenorm`` child imports,
+    with its exit code."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gradenorm", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(FIXTURES.parents[1] / "src")},
+    )
+    lines = [line for line in result.stderr.splitlines() if line.startswith("import time:")]
+    return result.returncode, {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["norm", "--in", "vector.json"],
+        ["norm", "--in", "vector.json", "--json"],
+        ["dilate", "--t", "-2", "--in", "vector.json"],
+        ["triangle-sample", "--in", "pair.json", "--json"],
+    ],
+    ids=["norm", "norm-json", "dilate", "triangle-sample-in"],
+)
+def test_float_commands_on_a_file_import_neither_numpy_nor_dataclasses(tmp_path, command):
+    vector = {"r": 3, "components": [[1.0, -2.5], [3], [0.5, 2**60 + 1, -4.0]]}
+    write_json(tmp_path / "vector.json", vector)
+    write_json(tmp_path / "pair.json", {"X": vector, "Y": vector})
+    code, modules = imported_modules([str(tmp_path / arg) if arg.endswith(".json") else arg for arg in command])
+    assert code == 0 and "gradenorm.graded_space" in modules
+    assert not {m for m in modules if m.split(".")[0] in ("numpy", "dataclasses")}
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,25 @@ def test_an_overflowing_defect_raises_without_a_warning(levels, defect):
             defect(x)
 
 
+@pytest.mark.parametrize(
+    "derive",
+    [
+        pytest.param(lambda x: x + x, id="sum"),
+        pytest.param(lambda x: dilate(2.0, x), id="dilate"),
+        pytest.param(lambda x: -dilate(-1e10, x), id="negated-dilate"),
+    ],
+)
+def test_an_overflowing_entry_is_inf_without_a_warning(derive):
+    # two finite entries whose sum or product passes the double range
+    x = GradedVector.from_components([[1.5e308, 1.0], [1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = derive(x)
+        assert math.isinf(big.components[0][0]) and math.isinf(max(map(abs, big._values)))
+        with pytest.raises(ValueError, match="a level length exceeds the double range"):
+            hnorm(big)
+
+
 # ---------------------------------------------------------------------------
 # homogeneity boundary
 # ---------------------------------------------------------------------------
@@ -402,9 +421,11 @@ def test_vector_components_are_immutable():
 
 
 def assert_read_only_views_of_one_flat_array(x):
-    assert not x._flat.flags.writeable
-    assert all(c.base is x._flat and not c.flags.writeable for c in x.components)
-    assert np.array_equal(np.concatenate(x.components), x._flat)
+    flat = x.components[0].base
+    assert flat.dtype == np.float64 and flat.flags.owndata and not flat.flags.writeable
+    assert all(c.base is flat and not c.flags.writeable for c in x.components)
+    assert type(x._values) is tuple and all(type(v) is float for v in x._values)
+    assert flat.tobytes() == np.array(x._values).tobytes()
 
 
 def test_vector_pickle_and_deepcopy_keep_flat_read_only_storage():
@@ -481,64 +502,12 @@ def test_defects_build_no_vector(monkeypatch):
         x + y
 
 
-# id -> (r, a function making the components, whether the levels share one shape)
-CONSTRUCTION_CASES = {
-    "equal-1d": (3, lambda: ([1.0, 2.0], [3.0, -4.0], np.array([5.0, 6.0])), True),
-    "equal-2d": (2, lambda: (np.arange(6.0).reshape(2, 3), [[1, 2, 3], [4, 5, 6]]), True),
-    "equal-0d": (3, lambda: (1.5, np.float64(-2.0), np.array(3.0)), True),
-    "int": (2, lambda: ([1, 2], [3, 2**60 + 1]), True),
-    "float32": (2, lambda: (np.array([0.1, -0.2], np.float32), np.array([0.3, 0.4], np.float32)), True),
-    "string": (2, lambda: (["1.5", "-2"], ["1e-3", "4"]), True),
-    "generator": (3, lambda: (np.full(2, i + 0.5) for i in range(3)), True),
-    "ragged": (3, lambda: ([1.0, 2.0], [3.0], [[4.0], [5.0]]), False),
-    "ragged-0d": (2, lambda: (1.0, [2.0, 3.0]), False),
-}
-
-
-@pytest.mark.parametrize("case", sorted(CONSTRUCTION_CASES))
-def test_one_call_and_per_level_construction_agree(monkeypatch, case):
-    r, make, one_shape = CONSTRUCTION_CASES[case]
-    assert (graded_space._one_call(tuple(make())) is not None) == one_shape
-    expected = np.concatenate([np.asarray(c, dtype=float).ravel() for c in make()])
-    one_call = GradedVector(GradingSignature(r), make())
-    with monkeypatch.context() as patched:
-        patched.setattr(graded_space, "_one_call", lambda components: None)  # the per-level path
-        per_level = GradedVector(GradingSignature(r), make())
-    for x in (one_call, per_level):
-        assert x._flat.dtype == np.float64 and x._flat.flags.owndata
-        assert x._flat.tobytes() == expected.tobytes()
-        assert_read_only_views_of_one_flat_array(x)
-        assert x._levels is graded_space._level_slices(x.dims)
-    assert one_call.dims == per_level.dims and one_call._levels is per_level._levels
-
-
-@pytest.mark.parametrize(
-    "r, make, error, message",
-    [
-        (2, lambda: ([1.0], []), ValueError, "level 2 must have dimension >= 1"),
-        (2, lambda: ([], []), ValueError, "level 1 must have dimension >= 1"),
-        (3, lambda: ([1.0], [2.0]), ValueError, "expected 3 components, got 2"),
-        (3, lambda: (np.ones(2) for _ in range(4)), ValueError, "expected 3 components, got 4"),
-        (2, lambda: ([1.0, 2.0], ["x", "abc"]), ValueError, "could not convert string to float: 'x'"),
-        (2, lambda: ([1.0], [{}]), TypeError, r"float\(\) argument must be"),
-        (1, lambda: ([10**400],), OverflowError, "int too large to convert to float"),
-        (2, lambda: 5.0, TypeError, "'float' object is not iterable"),
-    ],
-)
-def test_both_construction_paths_raise_the_same_errors(monkeypatch, r, make, error, message):
-    with pytest.raises(error, match=message):
-        GradedVector(GradingSignature(r), make())
-    with monkeypatch.context() as patched, pytest.raises(error, match=message):
-        patched.setattr(graded_space, "_one_call", lambda components: None)
-        GradedVector(GradingSignature(r), make())
-
-
 def test_vector_is_a_frozen_slotted_value():
     x = GradedVector(GradingSignature(2), ([1.0, 2.0], [3.0]))
     assert repr(x) == "GradedVector(signature=GradingSignature(r=2), components=(array([1., 2.]), array([3.])))"
     assert x == x and x != GradedVector(GradingSignature(2), ([1.0, 2.0], [3.0]))
     assert not hasattr(x, "__dict__")
-    for name in ("signature", "components", "dims", "_flat", "_hnorm", "other"):
+    for name in ("signature", "components", "dims", "_values", "_hnorm", "other"):
         with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
             setattr(x, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
@@ -622,7 +591,8 @@ CONTRACT_CASES = {
 
 def observe(build):
     """What building a vector gives: (dims, entry bytes, repr) or (error
-    type, error text), and the warnings it shows."""
+    type, error text), then the warnings it shows; and the vector."""
+    x = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -632,7 +602,7 @@ def observe(build):
         else:
             entries = b"".join(c.tobytes() for c in x.components)
             outcome = (x.dims, entries.hex(), repr(x))
-    return (*outcome, [(w.category.__name__, str(w.message)) for w in caught])
+    return (*outcome, [(w.category.__name__, str(w.message)) for w in caught]), x
 
 
 # id -> what building it gave before the float-tuple storage: (dims, the
@@ -959,7 +929,11 @@ CONTRACT = {
 
 @pytest.mark.parametrize("case", CONTRACT_CASES)
 def test_construction_keeps_its_contract(case):
-    assert observe(CONTRACT_CASES[case]) == CONTRACT[case]
+    seen, x = observe(CONTRACT_CASES[case])
+    assert seen == CONTRACT[case]
+    if x is not None:
+        assert_read_only_views_of_one_flat_array(x)
+        assert x._levels is graded_space._level_slices(x.dims)
 
 
 def test_derived_vectors_make_their_level_views_on_first_read():

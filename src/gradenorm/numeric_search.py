@@ -6,10 +6,13 @@ come from ``graded_space``'s batch kernel.
 The hunter maximizes the defect N(a + b) - N(a) - N(b) over pairs of
 nonnegative profiles with three stages: a coarse lattice rescaled into
 six decades of magnitude, a large seeded random sweep, and a short
-projected coordinate-ascent refinement of the best candidates. Because
-the norm is not dilation homogeneous for r >= 3, a violation could in
-principle hide at extreme scales, hence the explicit log-uniform
-magnitude coverage instead of normalizing samples.
+projected coordinate-ascent refinement of the best candidates. The
+scalar defect is homogeneous: under D_t a = (t^{2r/e_i} a_i)_i every
+a_i^{e_i} scales by t^{2r}, so each norm, and the defect, scales by t.
+A common scale of a and b thus only rescales the defect; what the six
+decades spread is the ratio of one level to another and of a to b, each
+entry drawn log-uniformly on its own. The dilation that is not homogeneous for
+r >= 3 is the vector one, level i by t^i (``graded_space``).
 
 A defect only counts as a violation when it exceeds
 tolerance * max(1, N(a) + N(b)); absolute thresholds misfire across
@@ -19,10 +22,11 @@ run is evidence, the certificate checker is the proof.
 Everything is deterministic given the configured seed, including the
 parallel path: work is split into fixed chunks with per-chunk spawned
 seeds and merged by first-best, so thread count never changes results.
-Every stage streams through the kernel in blocks of bounded size, drawn
-bit for bit as the whole stage would be, so memory stays flat as r
-grows. ``hunt`` says how the lattice and the chunks are drawn, and
-``_ascend`` how the ascent batches its moves.
+Each random stream (the lattice's levels and its scales, a and b of
+each sweep chunk) has a generator of its own on a child of the hunt's
+SeedSequence, so drawing it in blocks of bounded size gives the bits of
+its whole draw and memory stays flat as r grows. ``hunt`` says how the
+seeds are laid out, and ``_ascend`` how the ascent batches its moves.
 
 The lattice's level 0 is an exact zero, a third of its entries at the
 default resolution. Under numpy's X86_V4 float64 power loop, where a
@@ -176,14 +180,21 @@ def _product_lattice(r: int, resolution: int) -> np.ndarray:
     return levels.T
 
 
+def _streams(seed: np.random.SeedSequence, count: int) -> list[np.random.Generator]:
+    """Generators on the first ``count`` children of ``seed``, one per
+    random stream. They are spawned from a fresh copy, so that ``seed``
+    is left as it was and a second call draws the same numbers."""
+    fresh = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
+    return [np.random.default_rng(child) for child in fresh.spawn(count)]
+
+
 def _level_blocks(rng: np.random.Generator, resolution: int, rows: int, width: int):
     """Yield the rows of ``rng.integers(0, resolution, (rows, width))`` in
     blocks of _block_rows(width) rows.
 
-    The blocks are bit for bit the rows of the whole draw: below 2**32
-    levels each level takes one 32-bit word from PCG64's next_uint32,
-    which keeps the unused half of a 64-bit output in the bit generator
-    from one call to the next.
+    The blocks are bit for bit the rows of the whole draw: PCG64 keeps
+    the unused half of a 64-bit output for the next 32-bit word from one
+    call to the next.
     """
     size = min(rows, _block_rows(width))
     for start in range(0, rows, size):
@@ -213,40 +224,23 @@ def _grid_stage(exponents, resolution: int, seed: np.random.SeedSequence) -> tup
     point times log-uniform magnitudes, and the number of points.
 
     The full product is taken when it has at most _GRID_POINT_CAP
-    points; its scales come from a generator on ``seed``. Otherwise the
-    stream on ``seed`` holds the integer levels of _GRID_POINT_CAP
-    seeded points and then their scales. The levels are drawn block by
-    block (``_level_blocks``), and the scales from a second generator on
-    ``seed``, advanced past the levels' words, two to a 64-bit output.
-    When Lemire's method rejects a word (at resolution 3, a 32-bit word
-    of 0: about one hunt in 900 at r = 24) the levels take more words
-    than that. Their generator then ends past the scales' start, and the
-    lattice is scanned once more with the scales drawn from that end.
+    points; otherwise the integer levels of _GRID_POINT_CAP points are
+    drawn from the first child of ``seed`` (``_level_blocks``). Either
+    way the scales come from the second child (``_streams``).
     """
     r = exponents.shape[0]
     width = 2 * r
+    level_rng, scale_rng = _streams(seed, 2)
     if resolution**width <= _GRID_POINT_CAP:
         levels = _product_lattice(r, resolution)
-        size = _block_rows(width)
-        level_blocks = (levels[start : start + size] for start in range(0, len(levels), size))
-        scales = _log_uniform_blocks(np.random.default_rng(seed), len(levels), width)
-        best = _scan_lattice(exponents, np.linspace(0.0, 1.0, resolution), level_blocks, scales)
-        return best, len(levels)
-    rows = _GRID_POINT_CAP
-    # k / (resolution - 1), the bits of dividing the whole level array
-    values = np.arange(resolution) / (resolution - 1)
-    scale_bits = np.random.PCG64(seed).advance(rows * r)
-    while True:  # twice at most: a second pass starts where the levels end
-        scale_start = scale_bits.state["state"]
-        level_rng = np.random.default_rng(seed)
-        scales = _log_uniform_blocks(np.random.Generator(scale_bits), rows, width)
-        best = _scan_lattice(
-            exponents, values, _level_blocks(level_rng, resolution, rows, width), scales
-        )
-        end = level_rng.bit_generator.state
-        if end["state"] == scale_start:
-            return best, rows
-        scale_bits.state = {**end, "has_uint32": 0, "uinteger": 0}
+        rows, size = len(levels), _block_rows(width)
+        level_blocks = (levels[start : start + size] for start in range(0, rows, size))
+    else:
+        rows = _GRID_POINT_CAP
+        level_blocks = _level_blocks(level_rng, resolution, rows, width)
+    scales = _log_uniform_blocks(scale_rng, rows, width)
+    values = np.linspace(0.0, 1.0, resolution)
+    return _scan_lattice(exponents, values, level_blocks, scales), rows
 
 
 def _log_uniform_blocks(rng: np.random.Generator, rows: int, width: int):
@@ -280,18 +274,11 @@ def _log_uniform_blocks(rng: np.random.Generator, rows: int, width: int):
 
 
 def _sweep_blocks(seed: np.random.SeedSequence, rows: int, r: int):
-    """Yield the (a, b) row blocks of one sweep chunk of ``rows`` pairs.
-
-    The chunk's stream holds all of a, then all of b, each a (rows, r)
-    log-uniform draw. a is drawn block by block from a generator on
-    ``seed``; b from a second one on the same seed, advanced past a's
-    rows * r doubles (one 64-bit output each).
-    """
-    rng_b = np.random.Generator(np.random.PCG64(seed).advance(rows * r))
-    return zip(
-        _log_uniform_blocks(np.random.default_rng(seed), rows, r),
-        _log_uniform_blocks(rng_b, rows, r),
-    )
+    """Yield the (a, b) row blocks of one sweep chunk of ``rows`` pairs:
+    a and b are each a (rows, r) log-uniform draw, a from the first child
+    of ``seed`` and b from the second (``_streams``)."""
+    rng_a, rng_b = _streams(seed, 2)
+    return zip(_log_uniform_blocks(rng_a, rows, r), _log_uniform_blocks(rng_b, rows, r))
 
 
 def _ascend(exponents, a, b, steps: int, step_size: float):
@@ -371,16 +358,17 @@ def hunt(config: SearchConfig, threads: int = 1) -> SearchOutcome:
     Every stage goes through the kernel in blocks of at most _BLOCK_ROWS
     rows and _BLOCK_ELEMENTS numbers (``_block_rows``), so a stage holds
     one block of points at a time (one per worker in the sweep), and only
-    a full-product lattice holds all its integer levels. A subsampled
-    lattice's levels and its log-uniform scales are drawn block by block
-    from two generators on ``grid_ss`` (``_grid_stage``). A sweep chunk
-    draws its profiles a and then b: a comes block by block from the
-    chunk's generator, and b from a second generator on the same seed,
-    advanced past a's rows * r doubles (``_sweep_blocks``). Each block
-    is scanned on its own and the block bests merge first-best, which
-    picks the row one argmax over the whole stage would pick. The draws,
-    and so the results, are bit for bit those of drawing each stage
-    whole.
+    a full-product lattice holds all its integer levels.
+
+    The root SeedSequence on ``rng_seed`` has two children, one for the
+    lattice and one for the sweep, whose children seed the sweep's
+    chunks. Every random stream draws from a generator of its own on a
+    child of these: the lattice's levels and its scales (``_grid_stage``)
+    and a chunk's a and b (``_sweep_blocks``), so a stream drawn in
+    blocks is bit for bit its whole draw. Each block is scanned on its
+    own and the block bests merge first-best, which picks the row one
+    argmax over the whole stage would pick, so neither the block size
+    nor the thread count changes the result.
     """
     sig = GradingSignature(config.r)
     exps = np.asarray(sig.exponents, dtype=float)

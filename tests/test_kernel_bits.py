@@ -214,11 +214,14 @@ def test_baseline_pins_hold_for_both_exp_loops_under_the_baseline_power_loop():
     assert digest == no_v3_digest
 
 
-# The baseline loop's run: these tests, a short pinned hunt and demo 05.
-# The CI workflow runs the same selection in its own step.
+# The baseline loop's run: these tests, two short pinned hunts and demo
+# 05. The r = 5 hunt takes the full-product lattice and the r = 24 one a
+# subsampled lattice, whose levels have a stream of their own. The CI
+# workflow runs the same selection in its own step.
 BASELINE_RUN = [
     "tests/test_kernel_bits.py",
     "tests/test_numeric_search.py::test_hunt_outcome_is_pinned[r5-n1000-seed0]",
+    "tests/test_numeric_search.py::test_hunt_outcome_is_pinned[r24-n1000-seed165]",
     "tests/test_demos.py::test_counterexample_hunt_demo_output_is_pinned",
 ]
 

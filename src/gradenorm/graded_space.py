@@ -25,14 +25,19 @@ GradedVector and ScalarProfile are frozen classes on ``_Frozen`` with
 the constructor, repr, identity equality, pickling and
 ``FrozenInstanceError`` of the frozen dataclasses they replaced. A
 vector holds its entries as one tuple of Python floats, ``_values``,
-beside ``dims``, and converts levels of other types a level at a time
-(``_converted``). ``components`` are read-only float64 views into one
-array, made on first read and kept. Vectors of equal ``dims`` share one
-tuple of level slices from a table of at most 64 layouts; the count and
-dimensions are still checked for every vector. ``x + y``, ``-x`` and
+beside ``dims``. Construction takes levels that are all lists or tuples
+of floats as they are. Otherwise it converts the levels in one loop, in
+order, so that the first bad level raises: a 1-D float64 array by
+``tolist()``, a list or tuple of floats as it is, anything else as
+``np.asarray(level, dtype=float).ravel()`` holds it. ``components`` are
+read-only float64 views into one array, made on first read and kept.
+Vectors of equal ``dims`` share one tuple of level slices from a table
+of at most 64 layouts. The level count is checked for every vector;
+each level's dimension is checked once, when its ``dims`` enter the
+table, and ``dims`` that fail never enter it. ``x + y``, ``-x`` and
 ``dilate`` use the IEEE add, negation and multiply that numpy applies,
 so an overflowed entry is inf without a warning; they, ``zero`` and
-``random_vector`` skip the input validation.
+``random_vector`` skip the input validation (``_wrap``).
 
 ``hnorm`` keeps each vector's norm in a slot; a norm that raises is not
 kept. ``triangle_defect`` and ``homogeneity_defect`` build no vector and
@@ -40,9 +45,10 @@ keep the bits of ``hnorm(x + y) - hnorm(x) - hnorm(y)`` and
 ``hnorm(dilate(t, x)) - abs(t) * hnorm(x)`` (``_kept_norm``).
 
 numpy is imported only where it is used: ``ScalarProfile``, the batch
-kernel, ``_rescaled_norms``, ``random_vector``, ``_converted`` and
-``components``; so ``norm``, ``dilate`` and ``triangle-sample --in``
-load none unless a norm is rescaled.
+kernel, ``_rescaled_norms``, ``random_vector``, ``components``, and the
+construction of a level that is neither a float64 array nor floats;
+so ``norm``, ``dilate`` and ``triangle-sample --in`` load none unless a
+norm is rescaled.
 
 The norm formula has its two evaluators here. ``_norm``, behind
 ``hnorm`` and ``scalar_norm``, runs on Python floats: ``math.hypot``
@@ -157,18 +163,33 @@ class GradedVector(_Frozen):
         # vectors built by rebinding it, and _wrap skips it
         if type(components) is not tuple:
             components = tuple(components)
-        plain = _PLAIN.issuperset(map(type, components))
-        if not (plain and _FLOATS.issuperset(map(type, chain.from_iterable(components)))):
-            components = _converted(components)
         values = []
-        for level in components:
-            values += level
-        dims = tuple(map(len, components))
-        self._store(signature, tuple(values), dims, _layout(signature.r, dims))
+        if _PLAIN.issuperset(map(type, components)) and _FLOATS.issuperset(
+            map(type, chain.from_iterable(components))
+        ):
+            for level in components:
+                values += level
+            dims = tuple(map(len, components))
+        else:
+            # each level as np.asarray(level, dtype=float).ravel() holds it,
+            # in order so that the first bad level raises; a 1-D float64
+            # array and a list or tuple of floats skip numpy's copy
+            np = sys.modules.get("numpy")  # without numpy loaded, no level is an array
+            ndarray, float64 = (None, None) if np is None else _array_kinds(np)
+            dims = []
+            for level in components:
+                if type(level) is ndarray and level.dtype is float64 and level.ndim == 1:
+                    level = level.tolist()
+                elif not (type(level) in _PLAIN and _FLOATS.issuperset(map(type, level))):
+                    import numpy as np
 
-    def _store(self, signature: GradingSignature, values: tuple, dims: tuple, levels: tuple) -> None:
+                    level = np.asarray(level, dtype=float).ravel().tolist()
+                values += level
+                dims.append(len(level))
+            dims = tuple(dims)
+        levels = _layout(signature.r, dims)
         _set_signature(self, signature)
-        _set_values(self, values)
+        _set_values(self, tuple(values))
         _set_dims(self, dims)
         _set_levels(self, levels)
         _set_hnorm(self, None)
@@ -177,13 +198,13 @@ class GradedVector(_Frozen):
     def _wrap(signature: GradingSignature, values: tuple, dims: tuple, levels: tuple) -> "GradedVector":
         """A vector holding the floats ``values`` in a layout that
         ``_layout`` already checked, so ``__post_init__`` is skipped."""
-        out = object.__new__(GradedVector)
-        out._store(signature, values, dims, levels)
+        out = _new(GradedVector)
+        _set_signature(out, signature)
+        _set_values(out, values)
+        _set_dims(out, dims)
+        _set_levels(out, levels)
+        _set_hnorm(out, None)
         return out
-
-    def _derive(self, values: tuple[float, ...]) -> "GradedVector":
-        """A vector over this one's space holding the floats ``values``."""
-        return GradedVector._wrap(self.signature, values, self.dims, self._levels)
 
     @property
     def components(self) -> tuple[np.ndarray, ...]:
@@ -215,12 +236,14 @@ class GradedVector(_Frozen):
 
     def __add__(self, other: "GradedVector") -> "GradedVector":
         _require_same_space(self, other)
-        return self._derive(tuple(map(add, self._values, other._values)))
+        values = tuple(map(add, self._values, other._values))
+        return self._wrap(self.signature, values, self.dims, self._levels)
 
     def __neg__(self) -> "GradedVector":
-        return self._derive(tuple(map(neg, self._values)))
+        return self._wrap(self.signature, tuple(map(neg, self._values)), self.dims, self._levels)
 
 
+_new = object.__new__
 # the slots' own setters: __setattr__ refuses every write
 _set_signature, _set_dims, _set_values, _set_levels, _set_components, _set_hnorm = (
     GradedVector.__dict__[name].__set__ for name in GradedVector.__slots__
@@ -250,18 +273,11 @@ class ScalarProfile(_Frozen):
         return ScalarProfile(self.signature, self.magnitudes + other.magnitudes)
 
 
-def _converted(components: tuple) -> list:
-    """Each level as ``np.asarray(level, dtype=float).ravel()`` holds it,
-    in Python floats, a level at a time so that the first bad level
-    raises; a 1-D float64 array and a list or tuple of floats skip it."""
-    import numpy as np
-
-    return [
-        level.tolist() if type(level) is np.ndarray and level.dtype.char == "d" and level.ndim == 1
-        else level if type(level) in _PLAIN and _FLOATS.issuperset(map(type, level))
-        else np.asarray(level, dtype=float).ravel().tolist()
-        for level in components
-    ]
+@lru_cache(maxsize=1)
+def _array_kinds(np: object) -> tuple[type, object]:
+    """The loaded numpy's ndarray type and float64 dtype, which
+    ``GradedVector`` tests levels against by identity."""
+    return np.ndarray, np.dtype(float)
 
 
 def _require_same_space(x: GradedVector, y: GradedVector) -> None:
@@ -275,20 +291,21 @@ def _layout(r: int, dims: tuple[int, ...]) -> tuple[slice, ...]:
     positive dimension for each of the r levels."""
     if len(dims) != r:
         raise ValueError(f"expected {r} components, got {len(dims)}")
-    if min(dims) < 1:
-        level = next(i for i, d in enumerate(dims, start=1) if d < 1)
-        raise ValueError(f"level {level} must have dimension >= 1")
     return _level_slices(dims)
 
 
 @lru_cache(maxsize=64)
 def _level_slices(dims: tuple[int, ...]) -> tuple[slice, ...]:
-    # one tuple shared by every vector of these dims; the table stays at
-    # most 64 entries whatever mix of dims a process builds
+    # one tuple shared by every vector of these dims, checked once when it
+    # enters the table; dims that raise never enter it, and the table stays
+    # at most 64 entries whatever mix of dims a process builds
+    if min(dims) < 1:
+        level = next(i for i, d in enumerate(dims, start=1) if d < 1)
+        raise ValueError(f"level {level} must have dimension >= 1")
     return tuple([slice(end - d, end) for end, d in zip(accumulate(dims), dims)])
 
 
-def _lengths(values: tuple[float, ...], levels: tuple[slice, ...]) -> list[float]:
+def _lengths(values: Sequence[float], levels: tuple[slice, ...]) -> list[float]:
     """Euclidean length of each level of flat ``values``."""
     return [hypot(*values[s]) for s in levels]  # tuple slices unpack without a copy
 
@@ -548,11 +565,16 @@ def _dilation_powers(t: float, r: int) -> list[float]:
         raise ValueError(f"dilation parameter {t!r} overflows t^{r}") from None
 
 
+def _dilated(x: GradedVector, powers: list[float]) -> list[float]:
+    """The entries of ``x`` with level i multiplied by ``powers[i]``."""
+    values = x._values
+    return [v * p for s, p in zip(x._levels, powers) for v in values[s]]
+
+
 def dilate(t: float, x: GradedVector) -> GradedVector:
     """Scale level i by t^i. The parameter must be finite and nonzero."""
     powers = _dilation_powers(t, x.signature.r)
-    values = x._values
-    return x._derive(tuple([v * p for s, p in zip(x._levels, powers) for v in values[s]]))
+    return x._wrap(x.signature, tuple(_dilated(x, powers)), x.dims, x._levels)
 
 
 def homogeneity_defect(x: GradedVector, t: float) -> float:
@@ -561,10 +583,7 @@ def homogeneity_defect(x: GradedVector, t: float) -> float:
     Zero (to rounding) for r <= 2 and any x, t; strictly positive
     witnesses exist for every r >= 3.
     """
-    powers = _dilation_powers(t, x.signature.r)
-    values = x._values
-    # dilate's products
-    dilated = [hypot(*[v * p for v in values[s]]) for s, p in zip(x._levels, powers)]
+    dilated = _lengths(_dilated(x, _dilation_powers(t, x.signature.r)), x._levels)
     return _norm(dilated, x.signature.exponents) - abs(t) * _kept_norm(x)
 
 

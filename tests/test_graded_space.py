@@ -936,6 +936,110 @@ def test_construction_keeps_its_contract(case):
         assert x._levels is graded_space._level_slices(x.dims)
 
 
+def level_kinds(rng):
+    """Name -> a level of each kind the construction takes in one pass."""
+    base = rng.standard_normal(12)
+    read_only = base[:4].copy()
+    read_only.setflags(write=False)
+    return {
+        "contiguous": base[:3].copy(),
+        "strided": base[::3],
+        "reversed": base[::-1],
+        "read-only": read_only,
+        "big-endian": base[:5].astype(">f8"),
+        "0-d": np.array(base[0]),
+        "2-d": base.reshape(3, 4),
+        "float-list": base[:2].tolist(),
+        "int-list": [1, -2, 2**53 + 1],
+    }
+
+
+def float64_bytes(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("r", [1, 5, 12, 40])
+def test_construction_matches_numpy_level_by_level(r):
+    kinds = list(level_kinds(np.random.default_rng(2500 + r)).values())
+    sig = GradingSignature(r)
+    for shift in range(len(kinds)):
+        components = tuple(kinds[(shift + i) % len(kinds)] for i in range(r))
+        x = GradedVector(sig, components)
+        expected = [np.asarray(level, dtype=float).ravel().tolist() for level in components]
+        assert x.dims == tuple(map(len, expected))
+        assert all(type(v) is float for v in x._values)
+        assert float64_bytes(x._values) == float64_bytes([v for level in expected for v in level])
+        assert x._levels is graded_space._level_slices(x.dims)
+
+
+@pytest.mark.parametrize("r", [2, 5, 12, 40])
+@pytest.mark.parametrize("bad", [["x", "abc"], [1 + 2j], [[1.0], [2.0, 3.0]], [1.0, {}]])
+def test_the_first_bad_level_after_array_levels_raises_its_own_error(r, bad):
+    arrays = [np.full(3, i + 0.5) for i in range(r - 1)]
+    with pytest.raises(Exception) as expected:
+        np.asarray(bad, dtype=float)
+    # the second bad level, "y", would raise another text
+    for components in (arrays + [bad], arrays[:-1] + [bad, ["y"]]):
+        with pytest.raises(expected.type) as raised:
+            GradedVector(GradingSignature(r), tuple(components))
+        assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "r, components, message",
+    [
+        (3, ([1.0], [], [2.0]), "level 2 must have dimension >= 1"),
+        (3, (np.ones(2), np.ones(1), np.zeros(0)), "level 3 must have dimension >= 1"),
+        (2, ([], []), "level 1 must have dimension >= 1"),
+        (2, (np.zeros(0), np.zeros((2, 0))), "level 1 must have dimension >= 1"),
+        (3, ([1.0], [2.0]), "expected 3 components, got 2"),
+        (2, (np.ones(2),) * 3, "expected 2 components, got 3"),
+    ],
+)
+def test_bad_dims_raise_alike_and_never_enter_the_layout_table(r, components, message):
+    table = graded_space._level_slices
+    table.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ValueError) as raised:
+            GradedVector(GradingSignature(r), components)
+        assert str(raised.value) == message
+        assert table.cache_info().currsize == 0
+    if len(components) == r:  # the wire format counts the levels itself
+        levels = [np.asarray(c, dtype=float).ravel().tolist() for c in components]
+        with pytest.raises(ValueError) as raised:
+            vector_from_json({"r": r, "components": levels})
+        assert str(raised.value) == message and table.cache_info().currsize == 0
+
+
+def test_each_checked_construction_runs_post_init_once(monkeypatch):
+    calls = []
+    post_init = GradedVector.__post_init__
+
+    def counted(self, *args):
+        calls.append(self)
+        return post_init(self, *args)
+
+    monkeypatch.setattr(GradedVector, "__post_init__", counted)
+    sig = GradingSignature(3)
+    checked = {
+        "arrays": lambda: GradedVector(sig, (np.ones(2), np.arange(3.0), np.ones((1, 2)))),
+        "float lists": lambda: GradedVector(sig, ([1.0, 2.0], [3.0], [4.0])),
+        "int lists": lambda: GradedVector(sig, ([1, 2], [3], [4])),
+        "tuples": lambda: GradedVector(sig, ((1.0, 2.0), (3.0,), (4.0,))),
+        "from_components": lambda: GradedVector.from_components([[1.0], [2.0], [3.0]]),
+        "json": lambda: vector_from_json({"r": 3, "components": [[1.0, 2], [3], [4.0]]}),
+    }
+    for name, build in checked.items():
+        calls.clear()
+        x = build()
+        assert calls == [x], name
+    x = checked["arrays"]()
+    calls.clear()
+    rng = np.random.default_rng(25)
+    derived = [x + x, -x, dilate(-2.0, x), GradedVector.zero(sig, x.dims), random_vector(sig, rng)]
+    assert calls == [] and all(type(v) is GradedVector for v in derived)
+
+
 def test_derived_vectors_make_their_level_views_on_first_read():
     x = GradedVector(GradingSignature(3), ([1.0], [2.0, 3.0], [4.0]))
     for derived in (x + x, -x, dilate(2.0, x), random_vector(GradingSignature(3), np.random.default_rng(3))):

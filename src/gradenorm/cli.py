@@ -41,11 +41,28 @@ report and --version import no numpy, dataclasses, inspect or typing,
 nor fractions or decimal, which only the functions that build a
 ``Fraction`` load, and none of these commands calls one
 (tests/test_trusted_core.py and the CI workflow check this).
+
+How a child ends: ``entrypoint``, behind both the console script and
+``python -m gradenorm``, takes the code ``main`` returns, runs the
+registered ``atexit`` handlers (so ``coverage run`` and a caller's
+handlers still run, once each), flushes stdout and then stderr, and
+calls ``os._exit``. Python's shutdown, which clears every module and
+runs a last garbage collection, is skipped. No thread is left to join:
+hunt runs its one-thread sweep in the calling thread, and closes its
+pool in a ``with`` otherwise. If a stream is None or its flush raises (a
+broken pipe, a full disk), ``entrypoint`` calls ``sys.exit`` instead, and
+the shutdown reports the failure and sets the exit code as before. An
+exception that escapes ``main`` propagates as before, and ``main``
+itself, which in-process callers and the tests use, is unchanged. On a
+2-vCPU Xeon VM the teardown cost 6.5-11 ms for a bare interpreter and
+19-25 ms once numpy is loaded (medians of 15 alternating runs, in two
+sessions).
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import os
 import sys
@@ -326,7 +343,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run ``main`` and end the process with its code, skipping the
+    interpreter's teardown (the module docstring says why)."""
+    code = main()
+    atexit._run_exitfuncs()  # runs each handler once and clears them
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # a None, failing or closed stream
+        sys.exit(code)  # Python's own shutdown reports it, as it always has
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,9 @@ run is evidence, the certificate checker is the proof.
 Everything is deterministic given the configured seed, including the
 parallel path: work is split into fixed chunks with per-chunk spawned
 seeds and merged by first-best, so thread count never changes results.
+At one thread the chunks run in the calling thread, in order, and
+``concurrent.futures`` is not imported; with more, a thread pool runs
+them and is closed before ``hunt`` returns, so no thread outlives it.
 Each random stream (the lattice's levels and its scales, a and b of
 each sweep chunk) has a generator of its own on a child of the hunt's
 SeedSequence, so drawing it in blocks of bounded size gives the bits of
@@ -40,7 +43,6 @@ sweep and the ascent know of no zeros and mark none.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -394,8 +396,13 @@ def hunt(config: SearchConfig, threads: int = 1) -> SearchOutcome:
             _scan_block(exps, a, b, best)
         return best
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        candidates.extend(pool.map(run_chunk, range(n_chunks)))
+    if threads == 1:
+        candidates.extend(map(run_chunk, range(n_chunks)))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            candidates.extend(pool.map(run_chunk, range(n_chunks)))
     evaluated += config.sample_count
 
     # stage 3: refine the top candidates

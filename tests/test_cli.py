@@ -705,6 +705,149 @@ def test_console_module_entry_point():
     assert "[k=2]" in result.stdout
 
 
+# ---------------------------------------------------------------------------
+# how a child ends: atexit handlers, flushed streams, os._exit
+# ---------------------------------------------------------------------------
+
+def buffered_env():
+    """The environment with src on the path and without PYTHONUNBUFFERED,
+    so that a child's stdout to a file or pipe is block-buffered and a
+    skipped final flush would lose its tail."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(FIXTURES.parents[1] / "src")
+    return env
+
+
+def exit_path_paths(tmp_path):
+    """The files the exit-path cases name: the r = 5 fixture, the r = 40
+    builder certificate, the fixture tampered as the cli-oneshot bench
+    tampers it, a vector, and a file that is not there."""
+    fixture = json.loads((FIXTURES / "cert_r5.json").read_text())
+    tampered = json.loads(json.dumps(fixture))
+    tampered["lines"][0]["k"] = 5  # (i=1, s=1) charged to the middle orbit
+    cert40 = certificate_mod.search_certificate(GradingSignature(40))
+    vector = {"r": 5, "components": [[0.5, -1.25, 2.0], [3.0], [-0.75, 4.5], [1e-3], [2.5, -6.0]]}
+    return {
+        "r5": str(FIXTURES / "cert_r5.json"),
+        "r40": write_json(tmp_path / "cert_r40.json", certificate_mod.certificate_to_json(cert40)),
+        "tampered": write_json(tmp_path / "tampered.json", tampered),
+        "vector": write_json(tmp_path / "vector.json", vector),
+        "missing": str(tmp_path / "nope.json"),
+    }
+
+
+# the nine commands of the cli-oneshot bench mix, a usage error, a
+# missing file, and one output far larger than a stdout buffer
+EXIT_PATH_CASES = [
+    (["--version"], 0),
+    (["check", "{r5}"], 0),
+    (["check", "{r40}"], 0),
+    (["check", "{tampered}"], 1),
+    (["prove", "--r", "5", "--json"], 0),
+    (["report", "{r5}", "--json"], 0),
+    (["norm", "--in", "{vector}"], 0),
+    (["triangle-sample", "--r", "5", "--seed", "11", "--json"], 0),
+    (["hunt", "--r", "3", "--samples", "10000", "--seed", "11", "--json"], 0),
+    (["prove", "--r", "0"], 2),
+    (["check", "{missing}"], 2),
+    (["prove", "--r", "200", "--json"], 0),
+]
+
+PROVE_R200_JSON_SHA256 = "df2c9713fa043ac9c04ebe11a78170059bd5b40b30b307d481a275b94caf9e07"
+
+
+@pytest.mark.parametrize(
+    "argv, code", EXIT_PATH_CASES, ids=[" ".join(a) for a, _ in EXIT_PATH_CASES]
+)
+def test_a_child_writes_what_main_writes_and_exits_with_its_code(capsys, tmp_path, argv, code):
+    paths = exit_path_paths(tmp_path)
+    argv = [arg.format(**paths) for arg in argv]
+    out_path = tmp_path / "child.out"
+    with open(out_path, "wb") as out:
+        child = subprocess.run(
+            [sys.executable, "-m", "gradenorm", *argv],
+            stdin=subprocess.DEVNULL,
+            stdout=out,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+            env=buffered_env(),
+        )
+    got, stdout, err = run(capsys, *argv)
+    assert got == code
+    assert (child.returncode, child.stderr) == (got, err)
+    assert out_path.read_bytes() == stdout.encode("utf-8")
+    if argv == ["prove", "--r", "200", "--json"]:
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == PROVE_R200_JSON_SHA256
+
+
+def test_an_atexit_handler_runs_once_after_the_commands_output(tmp_path):
+    script = (
+        "import atexit, sys\n"
+        "from gradenorm.cli import entrypoint\n"
+        "atexit.register(print, 'handler ran')\n"
+        "sys.argv = ['gradenorm', 'check', sys.argv[1]]\n"
+        "entrypoint()\n"
+    )
+    out_path = tmp_path / "child.out"
+    with open(out_path, "wb") as out:
+        child = subprocess.run(
+            [sys.executable, "-c", script, str(FIXTURES / "cert_r5.json")],
+            stdout=out,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            env=buffered_env(),
+        )
+    assert (child.returncode, child.stderr) == (0, "")
+    lines = out_path.read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[0])["valid"] is True
+    assert lines[1:] == ["handler ran"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_buffered_stdout_to_a_full_device_still_exits_120():
+    with open("/dev/full", "wb") as full:
+        child = subprocess.run(
+            [sys.executable, "-m", "gradenorm", "--version"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            env=buffered_env(),
+        )
+    assert child.returncode == 120
+    assert child.stderr.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert "No space left on device" in child.stderr
+
+
+def test_a_reader_that_stops_early_still_gets_the_broken_pipe_error():
+    # what `gradenorm prove --r 300 --json | head -c 20` does
+    with subprocess.Popen(
+        [sys.executable, "-m", "gradenorm", "prove", "--r", "300", "--json"],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=buffered_env(),
+    ) as child:
+        try:
+            head = child.stdout.read(20)
+            child.stdout.close()
+            err = child.stderr.read().decode("utf-8")
+            code = child.wait(timeout=120)
+        finally:
+            child.kill()  # a no-op once the child has exited
+    assert head == b'{"certificate": {"r"'
+    assert (code, err) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+def test_hunt_at_one_thread_imports_no_thread_pool(monkeypatch):
+    monkeypatch.delenv("GRADENORM_THREADS", raising=False)
+    code, modules = imported_modules(["hunt", "--r", "3", "--samples", "1000"])
+    assert code == 0 and "gradenorm.numeric_search" in modules
+    assert not {m for m in modules if m.split(".")[0] == "concurrent"}
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
 @pytest.mark.parametrize("caller", [None, "2"])
 def test_the_cli_holds_openblas_to_one_thread_unless_the_caller_sets_it(caller):
